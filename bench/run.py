@@ -7,8 +7,10 @@ last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
 ``--trace 0``, the per-layer metrics with ``--trace 1``. Lines before it
 name each result with its unit. The exit code is 1 when any correctness
-check failed and 2 when the package source is missing. What each metric
-means is in ``bench/catalogue.json``; the benchmark's own tests run with
+check failed and 2 when the package source is missing. Units come from
+``BENCHMARK.json``, and for lines it does not declare from the
+``report_lines`` of ``bench/catalogue.json``, which also says what each
+metric means. The benchmark's own tests run with
 ``PYTHONPATH=src python -m pytest bench``.
 """
 
@@ -19,33 +21,17 @@ import json
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-UNITS = {
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-    "sim_latency_us_p50": "us",
-    "sim_latency_us_p90": "us",
-    "sim_energy_mj_p50": "mJ",
-    "rtf": "s/s",
-    "window_ms_p50": "ms",
-    "window_ms_p90": "ms",
-    "frames_discarded_frac": "frac",
-    "candidates_per_s": "1/s",
-    "candidate_ms_p50": "ms",
-    "candidate_ms_p90": "ms",
-    "sim_makespan_us_p50": "us",
-    "failed_frac": "frac",
-    "windows": "count",
-    "candidates": "count",
-    "latency_samples": "count",
-}
+BENCH = Path(__file__).resolve().parent
+ROOT = BENCH.parent
 
 
-def layer_unit(name: str) -> str:
-    for suffix, unit in (("_s", "s"), ("_frac", "frac")):
-        if name.endswith(suffix):
-            return unit
-    return "us" if "_us" in name else "count"
+def metric_units() -> dict[str, str]:
+    """Unit of every printed metric: BENCHMARK.json's, then the report-only lines'."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for kind in ("end_to_end", "per_layer") for m in declared[kind]}
+    catalogue = json.loads((BENCH / "catalogue.json").read_text())
+    units.update((name, line["unit"]) for name, line in catalogue["report_lines"].items())
+    return units
 
 
 def main(argv=None) -> int:
@@ -68,19 +54,20 @@ def main(argv=None) -> int:
     outcome = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
     report = {
         **outcome.report,
-        "setup_s": outcome.end_to_end["setup_s"],
-        "peak_rss_mb": outcome.end_to_end["peak_rss_mb"],
+        **outcome.end_to_end,
         "failed_frac": outcome.failed / outcome.attempted,
     }
+    units = metric_units()
     for name, value in report.items():
-        print(f"{args.workload} {name} {value:.6g} {UNITS[name]}")
+        print(f"{args.workload} {name} {value:.6g} {units[name]}")
     if args.trace:
         out = ROOT / ".bench_out" / f"spans_{args.workload}_{args.seed}.jsonl"
         outcome.tracer.write(out)
         print(f"spans written to {out.relative_to(ROOT)}")
-        metrics = {k: {"value": v, "unit": layer_unit(k)} for k, v in outcome.per_layer.items()}
+        metrics = outcome.per_layer
     else:
-        metrics = {k: {"value": v, "unit": UNITS[k]} for k, v in outcome.end_to_end.items()}
+        metrics = outcome.end_to_end
+    metrics = {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}
     correct = outcome.failed == 0
     print(json.dumps({
         "correct": correct,

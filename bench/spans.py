@@ -1,8 +1,9 @@
 """In-memory span recorder for the traced benchmark run.
 
 Spans are opened around the benchmark's own calls into each dvskit layer.
-A span records its name, start and end (ns), its parent span and the id of
-the window or candidate it belongs to; children inherit the parent's id.
+A span records its name, start and end (process CPU time in ns), its parent
+span and the id of the window or candidate it belongs to; children inherit
+the parent's id.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from time import perf_counter_ns
+from time import process_time_ns
 
 
 class Tracer:
@@ -27,16 +28,16 @@ class Tracer:
         idx = len(self.spans)
         self.spans.append((name, 0, 0, parent, item))
         self._stack.append(idx)
-        start = perf_counter_ns()
+        start = process_time_ns()
         try:
             yield
         finally:
-            end = perf_counter_ns()
+            end = process_time_ns()
             self._stack.pop()
             self.spans[idx] = (name, start, end, parent, item)
 
     def durations(self, name: str) -> list[float]:
-        """Wall seconds of every span with this name."""
+        """CPU seconds of every span with this name."""
         return [(e - s) / 1e9 for n, s, e, _, _ in self.spans if n == name]
 
     def self_seconds(self) -> dict[str, float]:

@@ -24,19 +24,19 @@ import workloads  # noqa: E402
 from dvskit.aggregator import Aggregator  # noqa: E402
 from dvskit.binning import BinningSpec, to_sparse_frames  # noqa: E402
 from dvskit.events import SceneSegment, SceneSpec, generate_events, window_events  # noqa: E402
+from dvskit.hardware import MappingCandidate  # noqa: E402
 from gate import GateError, check_candidate, check_conservation, check_flush  # noqa: E402
-from instances import make_instance, random_candidate  # noqa: E402
+from instances import build_instance, draw_assignment, draw_instance  # noqa: E402
 from spans import NullTracer  # noqa: E402
 from workloads import MapSpec, StreamSpec, evaluate, run_workload  # noqa: E402
 
 TINY = {
-    "aer_dense_add": StreamSpec(20_000, (SceneSegment(0, 20_000, 4e5),), "add", True, (3, 4)),
+    "aer_dense_add": StreamSpec(20_000, (SceneSegment(0, 20_000, 4e5),), "add", True),
     "baseline_burst_avg": StreamSpec(
         30_000,
         (SceneSegment(0, 5_000, 4e5), SceneSegment(5_000, 30_000, 1e5, (100, 80, 60, 40))),
         "average",
         False,
-        (3, 4),
     ),
     "map_4x100": MapSpec((2, 10), 6),
 }
@@ -46,7 +46,8 @@ DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 @pytest.fixture(autouse=True)
 def quick_setup(monkeypatch):
-    monkeypatch.setattr(workloads, "SETUP_MIN_S", 0.0)
+    monkeypatch.setattr(workloads, "SETUP_SLICE_S", 0.0)
+    monkeypatch.setattr(workloads, "HW_SHAPE", (3, 4))
 
 
 def names(kind: str) -> set[str]:
@@ -72,30 +73,35 @@ def test_simulated_results_repeat_exactly(name):
     assert [a.per_layer[m] for m in counts] == [b.per_layer[m] for m in counts]
 
 
-def test_cli_prints_json_last(monkeypatch, capsys):
-    monkeypatch.setitem(workloads.WORKLOADS, "tiny", TINY["map_4x100"])
-    assert run.main(["--workload", "tiny", "--seed", "1", "--seconds", "0"]) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+@pytest.mark.parametrize("name", sorted(TINY))
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_cli_prints_json_last(name, trace, monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(workloads.WORKLOADS, "tiny", TINY[name])
+    monkeypatch.setattr(run, "ROOT", tmp_path)  # spans go to tmp_path/.bench_out
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    assert run.main(["--workload", "tiny", "--seed", "1", "--seconds", "0", "--trace", trace]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] and result["failed"] == 0
-    units = {m["name"]: m["unit"] for m in DECLARED["end_to_end"]}
+    kind = "per_layer" if trace == "1" else "end_to_end"
+    units = {m["name"]: m["unit"] for m in DECLARED[kind]}
     assert {k: v["unit"] for k, v in result["metrics"].items()} == units
+    assert all(line.startswith("tiny ") for line in lines[:-1] if not line.startswith("spans "))
 
 
-def test_declared_per_layer_units_match_output():
-    assert {m["name"]: m["unit"] for m in DECLARED["per_layer"]} == {
-        n: run.layer_unit(n) for n in names("per_layer")
-    }
-
-
-def test_catalogue_covers_declared_metrics():
+def test_catalogue_describes_declared_metrics_without_repeating_them():
     catalogue = json.loads((BENCH / "catalogue.json").read_text())
-    listed = {m["name"] for m in catalogue["metrics"]}
-    assert names("end_to_end") | names("per_layer") <= listed
+    declared = names("end_to_end") | names("per_layer")
+    assert set(catalogue["metrics"]) == declared
+    assert not any({"unit", "better", "bound"} & set(m) for m in catalogue["metrics"].values())
+    assert not declared & set(catalogue["report_lines"])
 
 
 def test_fails_without_package_source(tmp_path):
     shutil.copytree(BENCH, tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "map_4x100", "--seed", "1", "--seconds", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=60,
@@ -135,8 +141,9 @@ def test_gate_trips_on_lost_mass():
 
 
 def test_gate_trips_on_altered_end_time():
-    graph, platform = make_instance(2, 8, seed=1)
-    candidate = random_candidate(np.random.default_rng(1), graph, platform)
+    data = draw_instance(2, 8, seed=1)
+    graph, platform = build_instance(data)
+    candidate = MappingCandidate(draw_assignment(np.random.default_rng(1), data))
     eg, schedule, energy = evaluate(graph, candidate, platform, NullTracer())
     check_candidate(graph, candidate, platform, eg, schedule, energy)
     last = max(schedule.end_us, key=schedule.end_us.get)

@@ -6,10 +6,16 @@ device: after each window, if the device is free, the buckets are flushed
 early and every task's queue is drained into one inference round, which
 keeps the device busy for the makespan of a fixed 3 x 30-layer mapping.
 
-Host time is measured around the calls into dvskit; the correctness gate
-runs after each step, outside the timed region. Simulated results come from
-the first lap or pass, which always runs to its end, so they do not depend
-on host speed.
+Host time is the process's CPU time, measured around the calls into dvskit,
+so time the shared host gives to other processes does not count; the
+correctness gate runs after each step, outside the timed region. Every lap
+or pass repeats the same steps, so host time per step takes each step's
+median over the laps or passes of a run. The shared host's speed drifts by
+tens of percent over minutes, and CPU time drifts with it; so before each
+step a fixed pure-Python reference task is timed too, and the gated host
+metric is the step time over the reference time. Simulated results come
+from the first lap or pass, which always runs to its end, so they do not
+depend on host speed.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ import resource
 import sys
 import traceback
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable
+from functools import partial
+from itertools import zip_longest
+from time import process_time
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,13 +50,14 @@ from gate import (
     count_mass,
     require,
 )
-from instances import make_instance, random_candidate
+from instances import InstanceData, build_instance, draw_assignment, draw_instance
 from spans import NullTracer, Tracer
 
 WIDTH, HEIGHT = 346, 260  # DAVIS346
 WINDOW_US = 5_000
 N_BINS = 2
 # The stream hardware and its mapping are fixed; --seed varies the events.
+HW_SHAPE = (3, 30)
 HW_SEED = 0
 
 
@@ -58,7 +67,6 @@ class StreamSpec:
     segments: tuple[SceneSegment, ...]
     mode: str
     aer_text: bool  # ingest through parse_events instead of an int64 array
-    hw_shape: tuple[int, int] = (3, 30)
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,26 @@ def report_failure(where: str) -> None:
     print(f"FAILED {where}:\n{traceback.format_exc()}", file=sys.stderr)
 
 
+def reference_s() -> float:
+    """CPU time of a fixed task built from dict, tuple and sort work, as dvskit's is."""
+    start = process_time()
+    acc: dict[int, tuple[int, ...]] = {}
+    for i in range(2000):
+        k = i * 7919 % 211
+        acc[k] = acc.get(k, ()) + (i,)
+    sorted((len(v), k) for k, v in acc.items())
+    return process_time() - start
+
+
+def in_lockstep(*runs: Iterator[None]) -> None:
+    """Advance each run one step in turn until all end.
+
+    Paired steps of a traced and an untraced run then meet the same host state.
+    """
+    for _ in zip_longest(*runs):
+        pass
+
+
 # ---------------------------------------------------------------------------
 # streams
 
@@ -117,10 +145,12 @@ class StreamSetup:
     hardware: tuple  # (graph, candidate, platform, (eg, schedule, energy)) for the gate
 
 
-def setup_stream(spec: StreamSpec, seed: int, tracer) -> StreamSetup:
+def setup_stream(
+    spec: StreamSpec, seed: int, hw: InstanceData, assignment: dict, tracer
+) -> StreamSetup:
     events = generate_events(SceneSpec(WIDTH, HEIGHT, spec.lap_us, seed=seed, segments=spec.segments))
-    graph, platform = make_instance(*spec.hw_shape, HW_SEED)
-    candidate = random_candidate(np.random.default_rng(HW_SEED), graph, platform)
+    graph, platform = build_instance(hw)
+    candidate = MappingCandidate(assignment)
     with tracer.span("bench.setup"):
         evaluation = evaluate(graph, candidate, platform, tracer)
     _, schedule, energy = evaluation
@@ -157,10 +187,11 @@ class LapStats:
 
 @dataclass
 class LapResult:
-    parse_s: float
-    step_s: list[float]
-    failed: int
-    stats: LapStats
+    parse_s: float = 0.0
+    step_s: list[float] = field(default_factory=list)
+    ref_s: list[float] = field(default_factory=list)  # reference task, before each window
+    failed: int = 0
+    stats: LapStats = field(default_factory=LapStats)
     merge_entries: int = 0  # entries the gate's merge replay read
     mass_entries: int = 0  # entries frame_mass read, traced laps only
 
@@ -169,15 +200,19 @@ def aggregator_config(mode: str) -> AggregatorConfig:
     return AggregatorConfig(16, 4, mode, 10_000, 0.5, 4)
 
 
-def run_lap(setup: StreamSetup, tracer, replay: bool = False) -> LapResult:
-    """Replay the recording once through window -> bin -> aggregate -> device."""
+def lap_steps(setup: StreamSetup, tracer, result: LapResult) -> Iterator[None]:
+    """Replay the recording once through window -> bin -> aggregate -> device.
+
+    Fills ``result``, yielding before each window. A traced lap also times
+    frame_mass on every flushed frame, after the last window.
+    """
     spec = setup.spec
-    start = perf_counter()
+    start = process_time()
     recording = setup.source
     if spec.aer_text:
         with tracer.span("events.parse"):
             recording = parse_events(setup.source, WIDTH, HEIGHT)
-    result = LapResult(perf_counter() - start, [], 0, LapStats())
+    result.parse_s = process_time() - start
     stats = result.stats
     agg = Aggregator(aggregator_config(spec.mode), WIDTH, HEIGHT, setup.tasks)
     binning = BinningSpec(N_BINS, WIDTH, HEIGHT)
@@ -186,14 +221,17 @@ def run_lap(setup: StreamSetup, tracer, replay: bool = False) -> LapResult:
     consumed = dict.fromkeys(setup.tasks, 0)  # mass drained per task
     placed_events = 0
     busy_until = 0
-    to_replay = []  # flushes whose frame masses a traced lap times after the loop
+    # flushes whose frame masses a traced lap times after the last window
+    to_replay = [] if isinstance(tracer, Tracer) else None
 
     for k in range(len(setup.window_counts)):
+        yield
+        result.ref_s.append(reference_s())
         t0, t1 = k * WINDOW_US, (k + 1) * WINDOW_US
         flushes: list[tuple[int, list, list[DispatchedFrame]]] = []
         batches: list[tuple[str, tuple[DispatchedFrame, ...], object]] = []
         window = frames = None
-        start = perf_counter()
+        start = process_time()
         try:
             with tracer.span("bench.window", k):
                 with tracer.span("events.window"):
@@ -236,7 +274,7 @@ def run_lap(setup: StreamSetup, tracer, replay: bool = False) -> LapResult:
             result.failed += 1
             continue
         finally:
-            result.step_s.append(perf_counter() - start)
+            result.step_s.append(process_time() - start)
 
         try:
             check_window(window, t0, t1, int(setup.window_counts[k]), len(recording))
@@ -251,7 +289,7 @@ def run_lap(setup: StreamSetup, tracer, replay: bool = False) -> LapResult:
                     stats.dispatches += len(dispatched)
                     stats.contribs += sum(len(b) for b in bucket_frames)
                     result.merge_entries += sum(f.n_entries for b in bucket_frames for f in b)
-                    if replay:
+                    if to_replay is not None:
                         to_replay.append((k, bucket_frames, dispatched, merged))
             for task, queued, batch in batches:
                 check_batch(queued, batch)
@@ -273,13 +311,18 @@ def run_lap(setup: StreamSetup, tracer, replay: bool = False) -> LapResult:
     for c in agg.counters.values():
         stats.queued += c.dispatched_frames
         stats.discards += c.discarded_frames
-    for k, bucket_frames, dispatched, merged in to_replay:
+    for k, bucket_frames, dispatched, merged in to_replay or ():
         try:
             with tracer.span("bench.replay", k):
                 result.mass_entries += replay_mass(bucket_frames, dispatched, merged, tracer)
         except GateError:
             report_failure(f"window {k}")
             result.failed += 1
+
+
+def run_lap(setup: StreamSetup, tracer) -> LapResult:
+    result = LapResult()
+    in_lockstep(lap_steps(setup, tracer, result))
     return result
 
 
@@ -301,10 +344,14 @@ def replay_mass(bucket_frames, dispatched, merged, tracer) -> int:
 # ---------------------------------------------------------------------------
 # runs and their metrics
 
-# Set-up is repeated at least SETUP_REPS times and for SETUP_MIN_S seconds;
-# its median is reported, so a cheap set-up is sampled often enough to be steady.
-SETUP_REPS = 3
-SETUP_MIN_S = 1.0
+# Set-up runs once before the first lap or pass and for at least SETUP_SLICE_S
+# seconds before each one, and at least SETUP_REPS times in all. Spread over
+# the run, the set-ups meet the same changes of host speed as the reference
+# task does; setup_s is their median CPU time scaled by REF_NOMINAL_S over the
+# run's median reference time, so it reads seconds at one fixed host speed.
+SETUP_REPS = 5
+SETUP_SLICE_S = 0.3
+REF_NOMINAL_S = 0.7e-3  # the reference task's typical CPU time on the first numbers' host
 
 
 @dataclass
@@ -321,21 +368,40 @@ def percentile(values, q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q)) if len(values) else 0.0
 
 
-def repeat_setup(make: Callable, tracer, null) -> tuple[object, float]:
-    """Repeat set-up untraced, then once more traced; keep the last result."""
-    times: list[float] = []
-    while len(times) < SETUP_REPS - 1 or sum(times) < SETUP_MIN_S:
-        start = perf_counter()
-        make(null)
-        times.append(perf_counter() - start)
-    start = perf_counter()
-    made = make(tracer)
-    times.append(perf_counter() - start)
-    return made, float(np.median(times))
+def step_medians(runs: list[list[float]]) -> np.ndarray:
+    """Each step's median time over runs that repeat the same steps."""
+    return np.median(np.asarray(runs, dtype=np.float64), axis=0)
+
+
+def paired_overhead(traced: list[float], untraced: list[float]) -> float:
+    """Median over steps of traced / untraced time, minus one."""
+    return float(np.median(np.asarray(traced) / np.asarray(untraced))) - 1
+
+
+def time_setup(make: Callable, times: list[float], min_s: float = 0.0):
+    """Set up once, and again until ``min_s`` seconds are spent; record each time."""
+    spent = 0.0
+    while True:
+        start = process_time()
+        made = make()
+        times.append(process_time() - start)
+        spent += times[-1]
+        if spent >= min_s:
+            return made
+
+
+def setup_median(make: Callable, times: list[float]) -> float:
+    while len(times) < SETUP_REPS:
+        time_setup(make, times)
+    return float(np.median(times))
 
 
 def run_stream(spec: StreamSpec, seed: int, seconds: float, tracer, null) -> Outcome:
-    setup, setup_s = repeat_setup(lambda tr: setup_stream(spec, seed, tr), tracer, null)
+    hw = draw_instance(*HW_SHAPE, HW_SEED)
+    assignment = draw_assignment(np.random.default_rng(HW_SEED), hw)
+    setup_times: list[float] = []
+    setup = time_setup(partial(setup_stream, spec, seed, hw, assignment, tracer), setup_times)
+    make = partial(setup_stream, spec, seed, hw, assignment, null)
     failed = 0
     graph, candidate, platform, evaluation = setup.hardware
     try:
@@ -346,6 +412,7 @@ def run_stream(spec: StreamSpec, seed: int, seconds: float, tracer, null) -> Out
     budget = seconds / 2 if tracer is not null else seconds
     laps: list[LapResult] = []
     while not laps or sum(lap.parse_s + sum(lap.step_s) for lap in laps) < budget:
+        time_setup(make, setup_times, SETUP_SLICE_S)
         laps.append(run_lap(setup, null))
         if laps[-1].stats != laps[0].stats:
             print(f"FAILED lap {len(laps) - 1}: differs from lap 0", file=sys.stderr)
@@ -354,13 +421,22 @@ def run_stream(spec: StreamSpec, seed: int, seconds: float, tracer, null) -> Out
     host_s = sum(lap.parse_s for lap in laps) + sum(steps)
     sensor_s = len(steps) * WINDOW_US / 1e6
     stats = laps[0].stats
+    # parsing is shared out over the lap's windows
+    step_s = float(step_medians([[lap.parse_s, *lap.step_s] for lap in laps]).sum())
+    step_s /= len(setup.window_counts)
+    ref_s = float(np.median([r for lap in laps for r in lap.ref_s]))
+    setup_cpu_s = setup_median(make, setup_times)
     end_to_end = {
-        "setup_s": setup_s,
+        "setup_s": setup_cpu_s * REF_NOMINAL_S / ref_s,
+        "step_time_vs_ref": step_s / ref_s,
         "sim_latency_us_p50": percentile(stats.latency_us, 50),
         "sim_latency_us_p90": percentile(stats.latency_us, 90),
         "sim_energy_mj_p50": setup.round_mj if stats.rounds else 0.0,
     }
     report = {
+        "host_ms_per_step": step_s * 1e3,
+        "ref_ms": ref_s * 1e3,
+        "setup_cpu_s": setup_cpu_s,
         "rtf": host_s / sensor_s,
         "window_ms_p50": percentile(steps, 50) * 1e3,
         "window_ms_p90": percentile(steps, 90) * 1e3,
@@ -374,12 +450,14 @@ def run_stream(spec: StreamSpec, seed: int, seconds: float, tracer, null) -> Out
     attempted = len(steps)
     per_layer = {}
     if tracer is not null:
-        traced = run_lap(setup, tracer, replay=True)
-        failed += traced.failed
-        if traced.stats != stats:
-            print("FAILED traced lap: differs from lap 0", file=sys.stderr)
-            failed += 1
-        attempted += len(traced.step_s)
+        untraced, traced = LapResult(), LapResult()
+        in_lockstep(lap_steps(setup, null, untraced), lap_steps(setup, tracer, traced))
+        for lap in (untraced, traced):
+            failed += lap.failed
+            attempted += len(lap.step_s)
+            if lap.stats != stats:
+                print("FAILED paired lap: differs from lap 0", file=sys.stderr)
+                failed += 1
         eg = evaluation[0]
         per_layer = layer_metrics(
             tracer,
@@ -391,66 +469,88 @@ def run_stream(spec: StreamSpec, seed: int, seconds: float, tracer, null) -> Out
             candidates=1,
             transfers=sum(n.kind == "transfer" for n in eg.nodes.values()),
             exec_nodes=len(eg.nodes),
-            overhead=percentile(traced.step_s, 50) / percentile(steps, 50) - 1,
+            overhead=paired_overhead(traced.step_s, untraced.step_s),
         )
     return Outcome(attempted, failed, end_to_end, per_layer, report)
 
 
-def setup_map(spec: MapSpec, seed: int):
-    graph, platform = make_instance(*spec.shape, seed)
-    rng = np.random.default_rng(seed)
-    return graph, platform, [random_candidate(rng, graph, platform) for _ in range(spec.n_candidates)]
+def setup_map(data: InstanceData, assignments: list[dict]):
+    graph, platform = build_instance(data)
+    return graph, platform, [MappingCandidate(a) for a in assignments]
 
 
-def run_pass(graph, platform, candidates, tracer) -> tuple[list[float], list[tuple], int]:
-    """Evaluate every candidate once; returns step times, results, failures."""
-    steps, results, failed = [], [], 0
+@dataclass
+class PassResult:
+    steps: list[float] = field(default_factory=list)
+    ref_s: list[float] = field(default_factory=list)  # reference task, before each candidate
+    results: list[tuple] = field(default_factory=list)
+    failed: int = 0
+
+
+def pass_steps(graph, platform, candidates, tracer, result: PassResult) -> Iterator[None]:
+    """Evaluate every candidate once, yielding before each; fills ``result``."""
     for i, candidate in enumerate(candidates):
-        start = perf_counter()
+        yield
+        result.ref_s.append(reference_s())
+        start = process_time()
         try:
             with tracer.span("bench.candidate", i):
                 evaluation = evaluate(graph, candidate, platform, tracer)
         except Exception:
             report_failure(f"candidate {i}")
-            failed += 1
+            result.failed += 1
             continue
         finally:
-            steps.append(perf_counter() - start)
+            result.steps.append(process_time() - start)
         try:
             with tracer.span("bench.check", i):
                 check_evaluation(graph, candidate, platform, evaluation, tracer)
         except GateError:
             report_failure(f"candidate {i}")
-            failed += 1
+            result.failed += 1
         eg, schedule, energy = evaluation
-        results.append(
+        result.results.append(
             (schedule.makespan_us, energy.total_mj, len(eg.nodes),
              sum(n.kind == "transfer" for n in eg.nodes.values()))
         )
-    return steps, results, failed
 
 
 def run_map(spec: MapSpec, seed: int, seconds: float, tracer, null) -> Outcome:
-    (graph, platform, candidates), setup_s = repeat_setup(lambda tr: setup_map(spec, seed), null, null)
+    data = draw_instance(*spec.shape, seed)
+    rng = np.random.default_rng(seed)
+    assignments = [draw_assignment(rng, data) for _ in range(spec.n_candidates)]
+    make = partial(setup_map, data, assignments)
+    setup_times: list[float] = []
+    graph, platform, candidates = time_setup(make, setup_times)
     budget = seconds / 2 if tracer is not null else seconds
-    steps, failed, passes = [], 0, []
-    while not passes or sum(steps) < budget:
-        pass_steps, results, pass_failed = run_pass(graph, platform, candidates, null)
-        steps += pass_steps
-        failed += pass_failed
-        passes.append(results)
-        if results != passes[0]:
+    passes: list[PassResult] = []
+    failed = 0
+    while not passes or sum(sum(p.steps) for p in passes) < budget:
+        time_setup(make, setup_times, SETUP_SLICE_S)
+        passes.append(PassResult())
+        in_lockstep(pass_steps(graph, platform, candidates, null, passes[-1]))
+        failed += passes[-1].failed
+        if passes[-1].results != passes[0].results:
             print(f"FAILED pass {len(passes) - 1}: differs from pass 0", file=sys.stderr)
             failed += 1
-    makespans = [r[0] for r in passes[0]]
-    energies = [r[1] for r in passes[0]]
+    steps = [s for p in passes for s in p.steps]
+    results = passes[0].results
+    makespans = [r[0] for r in results]
+    energies = [r[1] for r in results]
+    step_s = float(step_medians([p.steps for p in passes]).mean())
+    ref_s = float(np.median([r for p in passes for r in p.ref_s]))
+    setup_cpu_s = setup_median(make, setup_times)
     end_to_end = {
-        "setup_s": setup_s,
+        "setup_s": setup_cpu_s * REF_NOMINAL_S / ref_s,
+        "step_time_vs_ref": step_s / ref_s,
         "sim_latency_us_p50": percentile(makespans, 50),
         "sim_latency_us_p90": percentile(makespans, 90),
         "sim_energy_mj_p50": percentile(energies, 50),
     }
     report = {
+        "host_ms_per_step": step_s * 1e3,
+        "ref_ms": ref_s * 1e3,
+        "setup_cpu_s": setup_cpu_s,
         "candidates_per_s": len(steps) / sum(steps),
         "candidate_ms_p50": percentile(steps, 50) * 1e3,
         "candidate_ms_p90": percentile(steps, 90) * 1e3,
@@ -461,18 +561,23 @@ def run_map(spec: MapSpec, seed: int, seconds: float, tracer, null) -> Outcome:
     attempted = len(steps)
     per_layer = {}
     if tracer is not null:
-        traced_steps, results, traced_failed = run_pass(graph, platform, candidates, tracer)
-        failed += traced_failed
-        if results != passes[0]:
-            print("FAILED traced pass: differs from pass 0", file=sys.stderr)
-            failed += 1
-        attempted += len(traced_steps)
+        untraced, traced = PassResult(), PassResult()
+        in_lockstep(
+            pass_steps(graph, platform, candidates, null, untraced),
+            pass_steps(graph, platform, candidates, tracer, traced),
+        )
+        for p in (untraced, traced):
+            failed += p.failed
+            attempted += len(p.steps)
+            if p.results != results:
+                print("FAILED paired pass: differs from pass 0", file=sys.stderr)
+                failed += 1
         per_layer = layer_metrics(
             tracer,
             candidates=len(candidates),
-            exec_nodes=sum(r[2] for r in results),
-            transfers=sum(r[3] for r in results),
-            overhead=percentile(traced_steps, 50) / percentile(steps, 50) - 1,
+            exec_nodes=sum(r[2] for r in traced.results),
+            transfers=sum(r[3] for r in traced.results),
+            overhead=paired_overhead(traced.steps, untraced.steps),
         )
     return Outcome(attempted, failed, end_to_end, per_layer, report)
 
