@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,9 +128,9 @@ class PlacementReport:
 class DispatchedFrame:
     """Merged frame en route to an inference queue.
 
-    ``divisor`` restores the pre-merge value mass (frame count for averaged
-    buckets, 1 otherwise); ``contrib_t_refs_us`` are the t_refs of the source
-    frames, kept for latency accounting.
+    ``divisor`` restores the pre-merge event count (frame count for averaged
+    buckets, 1 otherwise), a multiple of the frame's common denominator;
+    ``contrib_t_refs_us`` are the source frames' t_refs, for latency accounting.
     """
 
     frame: SparseFrame
@@ -145,9 +144,9 @@ class TaskCounters:
     dispatched_frames: int = 0
     discarded_frames: int = 0
     consumed_frames: int = 0
-    dispatched_mass: Fraction = field(default_factory=lambda: Fraction(0))
-    discarded_mass: Fraction = field(default_factory=lambda: Fraction(0))
-    consumed_mass: Fraction = field(default_factory=lambda: Fraction(0))
+    dispatched_mass: int = 0
+    discarded_mass: int = 0
+    consumed_mass: int = 0
 
 
 class Aggregator:
@@ -170,7 +169,7 @@ class Aggregator:
         self.queues: dict[str, deque[DispatchedFrame]] = {t: deque() for t in self.tasks}
         self.counters: dict[str, TaskCounters] = {t: TaskCounters() for t in self.tasks}
         self.ingested_frames = 0
-        self.ingested_mass = Fraction(0)
+        self.ingested_mass = 0
         self.dispatch_ages_us: list[int] = []
         self._occupancy_at_flush: list[int] = []
 
@@ -182,10 +181,8 @@ class Aggregator:
     def needs_flush(self) -> bool:
         return self.total_frames >= self.config.e_buf_size
 
-    def buffer_mass(self) -> Fraction:
-        return sum(
-            (frame_mass(f) for b in self._buckets for f in b.frames), Fraction(0)
-        )
+    def buffer_mass(self) -> int:
+        return sum(int(frame_mass(f)) for b in self._buckets for f in b.frames)
 
     def bucket_snapshot(self) -> list[tuple[int, str]]:
         """(occupancy, status) per bucket, for metrics and tests."""
@@ -210,12 +207,14 @@ class Aggregator:
 
         Buckets that reject the frame are marked FULL and never revisited.
         Raises CapacityError when no bucket can take the frame; the caller
-        must flush first.
+        must flush first. ValidationError rejects frames whose den is not 1.
         """
         if frame.width != self.width or frame.height != self.height:
             raise ShapeError(
                 f"frame dims {frame.width}x{frame.height} != sensor {self.width}x{self.height}"
             )
+        if frame.den != 1:
+            raise ValidationError(f"frame values over denominator {frame.den} are not counts")
         batch_mode = self.config.c_mode is MergeMode.BATCH
         n_active = 0 if batch_mode else active_pixel_count(frame)
         newly_full: list[int] = []
@@ -231,7 +230,7 @@ class Aggregator:
                 bucket.status = _Status.FULL
                 newly_full.append(idx)
             self.ingested_frames += 1
-            self.ingested_mass += frame_mass(frame)
+            self.ingested_mass += int(frame_mass(frame))
             return PlacementReport(idx, tuple(newly_full))
         raise CapacityError("no available merge bucket; flush required")
 
@@ -278,11 +277,11 @@ class Aggregator:
             for item in dispatched:
                 queue.append(item)
                 counters.dispatched_frames += 1
-                counters.dispatched_mass += frame_mass(item.frame) * item.divisor
+                counters.dispatched_mass += int(frame_mass(item.frame) * item.divisor)
             while depth is not None and len(queue) > depth:
                 dropped = queue.popleft()
                 counters.discarded_frames += 1
-                counters.discarded_mass += frame_mass(dropped.frame) * dropped.divisor
+                counters.discarded_mass += int(frame_mass(dropped.frame) * dropped.divisor)
         for item in dispatched:
             self.dispatch_ages_us.append(t_now_us - item.frame.t_ref_us)
         return dispatched
@@ -303,7 +302,7 @@ class Aggregator:
         counters = self.counters[task]
         for item in items:
             counters.consumed_frames += 1
-            counters.consumed_mass += frame_mass(item.frame) * item.divisor
+            counters.consumed_mass += int(frame_mass(item.frame) * item.divisor)
         return BatchedFrames(tuple(item.frame for item in items))
 
     def occupancy_histogram(self) -> dict[int, int]:

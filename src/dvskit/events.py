@@ -168,15 +168,12 @@ class SceneSpec:
     width: int
     height: int
     duration_us: int
-    theta: float = 0.2
     seed: int = 0
     segments: tuple[SceneSegment, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0 or self.duration_us <= 0:
             raise ValidationError("scene dimensions and duration must be positive")
-        if self.theta <= 0:
-            raise ValidationError("theta must be positive")
         spans = []
         for seg in self.segments:
             if seg.rate_ev_s < 0:
@@ -200,13 +197,11 @@ class SceneSpec:
 def generate_events(spec: SceneSpec) -> np.ndarray:
     """Generate a deterministic synthetic event stream for the scene.
 
-    Each event marks one threshold crossing of a pixel's synthetic
-    log-intensity walk: at every firing instant the intensity moves by a step
-    whose magnitude is normalized to lie in [theta, 2*theta), so the
-    accumulated change always clears the firing threshold, and the step
-    direction gives the polarity. Firing instants follow a Poisson profile
-    matching each segment's mean rate, so the empirical rate tracks the spec
-    closely for large counts.
+    Each segment draws a Poisson event count with mean ``rate * duration``,
+    then gives every event a uniform timestamp in the segment's span, a
+    uniform pixel in its region and a polarity of +1 or -1 with equal
+    chance. The stream is stably sorted by time; ``spec.seed`` fixes every
+    draw.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     chunks = []
@@ -234,7 +229,6 @@ def scene_to_dict(spec: SceneSpec) -> dict:
         "width": spec.width,
         "height": spec.height,
         "duration_us": spec.duration_us,
-        "theta": spec.theta,
         "seed": spec.seed,
         "segments": [
             {
@@ -263,7 +257,6 @@ def scene_from_dict(data: dict) -> SceneSpec:
             width=int(data["width"]),
             height=int(data["height"]),
             duration_us=int(data["duration_us"]),
-            theta=float(data.get("theta", 0.2)),
             seed=int(data.get("seed", 0)),
             segments=segments,
         )

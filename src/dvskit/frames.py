@@ -2,17 +2,20 @@
 
 A frame stores per-pixel accumulation values for the positive and negative
 polarity channels in COO form. Each channel is an (n, 4) int64 array with
-columns (row, col, num, den): entries sorted by (row, col), duplicate-free,
-zero-free, and gcd-reduced. Values are exact rationals so that averaging
-merges introduce no rounding; plain event counts have den == 1.
+columns (row, col, num, den): entries sorted by (row, col), duplicate-free
+and zero-free. Values are rationals over one common denominator per frame:
+every entry of both channels carries the same ``den``, the smallest one that
+makes all values integral, so ``gcd(den, *nums) == 1``. Binning and
+add-merges give ``den == 1``; an average over k frames gives a divisor of k.
+Every sum and rescale is overflow-checked: a value or denominator that does
+not fit int64 raises OverflowError instead of wrapping.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -21,61 +24,80 @@ from .errors import BoundsError, ShapeError, ValidationError
 
 ROW, COL, NUM, DEN = 0, 1, 2, 3
 
-# lcm guard: beyond this the vectorized int64 rational sum could overflow,
-# so canonicalization falls back to exact Fraction arithmetic
-_LCM_SAFE = 1 << 31
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _empty_channel() -> np.ndarray:
     return np.empty((0, 4), dtype=np.int64)
 
 
-def _reduce(entries: np.ndarray) -> np.ndarray:
-    g = np.gcd(entries[:, NUM], entries[:, DEN])
-    entries[:, NUM] //= g
-    entries[:, DEN] //= g
-    return entries
+def _sum_may_wrap(values: np.ndarray) -> bool:
+    """Whether an int64 sum of these non-negative values can exceed int64."""
+    return len(values) > 0 and int(values.max()) > _I64_MAX // len(values)
 
 
-def _canonical_channel(entries: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Sort by (row, col), fold duplicates with exact rational sums, drop zeros."""
-    if entries.size == 0:
-        return _empty_channel()
-    entries = np.asarray(entries, dtype=np.int64).reshape(-1, 4)
-    rows, cols = entries[:, ROW], entries[:, COL]
+def _canonical_frame(
+    width: int, height: int, t_ref_us: int, pos: np.ndarray, neg: np.ndarray
+) -> SparseFrame:
+    """Build a frame from raw channel entries, bringing them to the invariant.
+
+    Entries may repeat pixels, hold zeros and use any positive denominators.
+    Values are rescaled to the common denominator, each pixel's values are
+    summed, zeros are dropped and the common factor of den and all nums is
+    divided out.
+    """
+    pos = np.asarray(pos, dtype=np.int64).reshape(-1, 4)
+    neg = np.asarray(neg, dtype=np.int64).reshape(-1, 4)
+    rows, cols, nums, dens = np.concatenate([pos, neg]).T
     if np.any(rows < 0) or np.any(rows >= height) or np.any(cols < 0) or np.any(cols >= width):
         raise BoundsError(f"channel entry outside {width}x{height} frame")
-    if np.any(entries[:, DEN] <= 0):
+    if np.any(dens <= 0):
         raise ValidationError("entry denominators must be positive")
-    if np.any(entries[:, NUM] < 0):
+    if np.any(nums < 0):
         raise ValidationError("entry values must be non-negative")
-    entries = entries[entries[:, NUM] != 0]
-    if entries.size == 0:
-        return _empty_channel()
-    order = np.lexsort((entries[:, COL], entries[:, ROW]))
-    entries = entries[order]
-    flat = entries[:, ROW] * width + entries[:, COL]
-    uniq, starts = np.unique(flat, return_index=True)
-    if len(uniq) == len(flat):
-        return _reduce(entries.copy())
-    dens = entries[:, DEN]
-    lcm = np.lcm.reduceat(dens, starts)
-    if lcm.max() < _LCM_SAFE and np.abs(entries[:, NUM]).max() < _LCM_SAFE:
-        scale = np.repeat(lcm, np.diff(np.append(starts, len(flat)))) // dens
-        sums = np.add.reduceat(entries[:, NUM] * scale, starts)
-        out = np.column_stack([uniq // width, uniq % width, sums, lcm])
-        return _reduce(out[out[:, NUM] != 0])
-    # exact fallback for extreme denominators
-    acc: dict[int, Fraction] = {}
-    for r, c, n, d in entries.tolist():
-        key = r * width + c
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(n, d)
-    out_rows = [
-        (k // width, k % width, v.numerator, v.denominator)
-        for k, v in sorted(acc.items())
-        if v != 0
-    ]
-    return np.array(out_rows, dtype=np.int64) if out_rows else _empty_channel()
+    # one sort key over both channels: the neg channel's pixels follow the pos ones
+    n_pixels = width * height
+    keys = rows * width + cols
+    keys[len(pos):] += n_pixels
+    nonzero = nums != 0
+    keys, nums, dens = keys[nonzero], nums[nonzero], dens[nonzero]
+
+    # binned and merged frames already share one den: np.unique only for mixed input
+    uniform = len(dens) == 0 or dens.min() == dens.max()
+    den = math.lcm(*(dens[:1] if uniform else np.unique(dens)).tolist())
+    if den > _I64_MAX:
+        raise OverflowError(f"common denominator {den} does not fit int64")
+    if not uniform:
+        factor = den // dens
+        if np.any(nums > _I64_MAX // factor):
+            raise OverflowError("value rescaled to the common denominator does not fit int64")
+        nums = nums * factor
+
+    order = np.argsort(keys)
+    keys, nums = keys[order], nums[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if len(starts) < len(keys):
+        if _sum_may_wrap(nums) and np.add.reduceat(nums.astype(object), starts).max() > _I64_MAX:
+            raise OverflowError("pixel sum does not fit int64")
+        keys, nums = keys[starts], np.add.reduceat(nums, starts)
+
+    g = math.gcd(den, int(np.gcd.reduce(nums)))
+    nums //= g
+    den //= g
+    split = int(np.searchsorted(keys, n_pixels))
+
+    def channel(flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.column_stack(
+            [flat // width, flat % width, values, np.full(len(flat), den, dtype=np.int64)]
+        )
+
+    return SparseFrame(
+        width,
+        height,
+        t_ref_us,
+        channel(keys[:split], nums[:split]),
+        channel(keys[split:] - n_pixels, nums[split:]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +129,14 @@ class SparseFrame:
     def n_entries(self) -> int:
         return len(self.pos) + len(self.neg)
 
+    @property
+    def den(self) -> int:
+        """The common denominator of every entry; 1 for an empty frame."""
+        for ch in (self.pos, self.neg):
+            if len(ch):
+                return int(ch[0, DEN])
+        return 1
+
 
 def empty_frame(width: int, height: int, t_ref_us: int = 0) -> SparseFrame:
     return SparseFrame(width, height, t_ref_us, _empty_channel(), _empty_channel())
@@ -124,7 +154,9 @@ def from_entries(
     """Build a canonical frame from (row, col, channel, value) tuples.
 
     ``channel`` is "pos"/"neg" or +1/-1; values are non-negative ints or
-    Fractions. Duplicate coordinates are summed exactly.
+    Fractions. Duplicate coordinates are summed exactly. Raises
+    OverflowError when the frame's common denominator, a value over it or a
+    pixel sum does not fit int64.
     """
     pos_rows, neg_rows = [], []
     for row, col, channel, value in entries:
@@ -136,15 +168,7 @@ def from_entries(
             raise ValidationError(f"negative value {value} at ({row}, {col})")
         target = pos_rows if ch == "pos" else neg_rows
         target.append((row, col, frac.numerator, frac.denominator))
-    pos = np.array(pos_rows, dtype=np.int64) if pos_rows else _empty_channel()
-    neg = np.array(neg_rows, dtype=np.int64) if neg_rows else _empty_channel()
-    return SparseFrame(
-        width,
-        height,
-        t_ref_us,
-        _canonical_channel(pos, width, height),
-        _canonical_channel(neg, width, height),
-    )
+    return _canonical_frame(width, height, t_ref_us, pos_rows, neg_rows)
 
 
 def counts_frame(
@@ -156,7 +180,7 @@ def counts_frame(
     neg_flat: np.ndarray,
     neg_counts: np.ndarray,
 ) -> SparseFrame:
-    """Fast constructor from per-channel unique sorted flat indices + counts."""
+    """Fast constructor from per-channel unique sorted flat indices + positive counts."""
 
     def channel(flat, counts):
         if len(flat) == 0:
@@ -193,11 +217,6 @@ def to_dense(frame: SparseFrame) -> DenseGrids:
     return DenseGrids(*grids)
 
 
-def to_dense_float(frame: SparseFrame) -> tuple[np.ndarray, np.ndarray]:
-    g = to_dense(frame)
-    return g.pos_num / g.pos_den, g.neg_num / g.neg_den
-
-
 def _require_uniform_dims(frames: Sequence[SparseFrame]) -> tuple[int, int]:
     if not frames:
         raise ValidationError("need at least one frame")
@@ -216,13 +235,7 @@ def merge_add(frames: Sequence[SparseFrame]) -> SparseFrame:
     t_ref = min(f.t_ref_us for f in frames)
     pos = np.concatenate([f.pos for f in frames])
     neg = np.concatenate([f.neg for f in frames])
-    return SparseFrame(
-        width,
-        height,
-        t_ref,
-        _canonical_channel(pos, width, height),
-        _canonical_channel(neg, width, height),
-    )
+    return _canonical_frame(width, height, t_ref, pos, neg)
 
 
 def merge_average(frames: Sequence[SparseFrame]) -> SparseFrame:
@@ -232,18 +245,12 @@ def merge_average(frames: Sequence[SparseFrame]) -> SparseFrame:
     inactive, which keeps averaging linear with the add-merge.
     """
     total = merge_add(frames)
-    k = len(frames)
-    if k == 1:
-        return total
-
-    def scale(ch: np.ndarray) -> np.ndarray:
-        if ch.size == 0:
-            return _empty_channel()
-        out = ch.copy()
-        out[:, DEN] *= k
-        return _reduce(out)
-
-    return SparseFrame(total.width, total.height, total.t_ref_us, scale(total.pos), scale(total.neg))
+    den = total.den * len(frames)
+    if den > _I64_MAX:
+        raise OverflowError(f"average denominator {den} does not fit int64")
+    pos, neg = total.pos.copy(), total.neg.copy()
+    pos[:, DEN] = neg[:, DEN] = den
+    return _canonical_frame(total.width, total.height, total.t_ref_us, pos, neg)
 
 
 @dataclass(frozen=True)
@@ -280,11 +287,9 @@ def spatial_density(frame: SparseFrame) -> float:
 
 def frame_mass(frame: SparseFrame) -> Fraction:
     """Exact sum of all values across both channels."""
-    total = Fraction(0)
-    for ch in (frame.pos, frame.neg):
-        for n, d in ch[:, (NUM, DEN)].tolist():
-            total += Fraction(n, d)
-    return total
+    nums = np.concatenate([frame.pos[:, NUM], frame.neg[:, NUM]])
+    total = sum(nums.tolist()) if _sum_may_wrap(nums) else int(nums.sum())
+    return Fraction(total, frame.den)
 
 
 def frame_to_dict(frame: SparseFrame) -> dict:
@@ -298,23 +303,9 @@ def frame_to_dict(frame: SparseFrame) -> dict:
 
 
 def frame_from_dict(data: dict) -> SparseFrame:
-    width, height = int(data["width"]), int(data["height"])
-
-    def channel(rows):
-        arr = np.array(rows, dtype=np.int64) if rows else _empty_channel()
-        return _canonical_channel(arr.reshape(-1, 4), width, height)
-
-    return SparseFrame(width, height, int(data["t_ref_us"]), channel(data["pos"]), channel(data["neg"]))
-
-
-def save_frames(frames: Sequence[SparseFrame], path: str | Path) -> None:
-    payload = {"frames": [frame_to_dict(f) for f in frames]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def load_frames(path: str | Path) -> list[SparseFrame]:
-    data = json.loads(Path(path).read_text())
-    return [frame_from_dict(d) for d in data["frames"]]
+    return _canonical_frame(
+        int(data["width"]), int(data["height"]), int(data["t_ref_us"]), data["pos"], data["neg"]
+    )
 
 
 def frame_to_csv(frame: SparseFrame) -> str:
@@ -323,14 +314,4 @@ def frame_to_csv(frame: SparseFrame) -> str:
     for name, ch in (("pos", frame.pos), ("neg", frame.neg)):
         for r, c, n, d in ch.tolist():
             lines.append(f"{name},{r},{c},{n / d!r}")
-    return "\n".join(lines) + "\n"
-
-
-def frames_to_csv(frames: Sequence[SparseFrame]) -> str:
-    """Multi-frame CSV dump with a leading frame-index column."""
-    lines = ["frame,channel,row,col,value"]
-    for i, frame in enumerate(frames):
-        for name, ch in (("pos", frame.pos), ("neg", frame.neg)):
-            for r, c, n, d in ch.tolist():
-                lines.append(f"{i},{name},{r},{c},{n / d!r}")
     return "\n".join(lines) + "\n"

@@ -112,6 +112,13 @@ class TestPlacement:
         with pytest.raises(ShapeError):
             agg.place(make_frame(0, 1, width=8, height=8))
 
+    def test_non_count_frame_rejected(self):
+        agg = Aggregator(config(), 16, 16)
+        half = from_entries([(0, 0, "pos", Fraction(1, 2)), (0, 1, "neg", Fraction(1, 2))], 16, 16)
+        with pytest.raises(ValidationError):
+            agg.place(half)
+        assert agg.ingested_frames == 0 and agg.total_frames == 0
+
 
 class TestFlush:
     def test_flush_empty_buffer_is_noop(self):

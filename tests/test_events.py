@@ -208,3 +208,7 @@ class TestSyntheticScene:
             segments=(SceneSegment(0, 500_000, 100.0, region=(1, 2, 3, 4)),)
         )
         assert scene_from_dict(scene_to_dict(spec)) == spec
+
+    def test_scene_dict_ignores_stale_theta(self):
+        spec = self._spec()
+        assert scene_from_dict({**scene_to_dict(spec), "theta": 0.2}) == spec

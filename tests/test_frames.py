@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,61 @@ class TestFromEntries:
             got_pos, got_neg = dense_fraction_view(frame)
             assert np.array_equal(pos, got_pos)
             assert np.array_equal(neg, got_neg)
+
+
+class TestCanonicalForm:
+    def test_channels_share_one_denominator(self):
+        f = from_entries([(0, 0, "pos", Fraction(1, 2)), (1, 1, "neg", Fraction(1, 3))], 2, 2)
+        assert f.pos.tolist() == [[0, 0, 3, 6]]
+        assert f.neg.tolist() == [[1, 1, 2, 6]]
+        assert f.den == 6
+
+    def test_integer_frame_has_denominator_one(self):
+        f = from_entries([(0, 0, "pos", Fraction(3, 3)), (1, 1, "neg", 4)], 2, 2)
+        assert f.den == 1
+        assert empty_frame(2, 2).den == 1
+
+    def test_random_frames_hold_one_reduced_denominator(self):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            a, _ = random_frame(rng, 7, 5, rational=True)
+            b, _ = random_frame(rng, 7, 5, rational=True)
+            for frame in (a, merge_add([a, b]), merge_average([a, b, b])):
+                entries = np.concatenate([frame.pos, frame.neg])
+                if len(entries) == 0:
+                    continue
+                assert set(entries[:, 3].tolist()) == {frame.den}
+                assert math.gcd(frame.den, *entries[:, 2].tolist()) == 1
+
+
+class TestOverflow:
+    def test_pixel_sum_beyond_int64_raises_instead_of_wrapping(self):
+        entries = [(0, 0, "pos", 2**31 - 1)] * 8 + [(0, 0, "pos", Fraction(1, 2**30 + 1))]
+        with pytest.raises(OverflowError, match="int64"):
+            from_entries(entries, 2, 2)
+
+    def test_merge_add_sum_beyond_int64_raises(self):
+        f = from_entries([(1, 1, "neg", 2**62)], 2, 2)
+        with pytest.raises(OverflowError, match="int64"):
+            merge_add([f, f])
+
+    def test_common_denominator_beyond_int64_raises(self):
+        coprime = [Fraction(1, 2**30 - 1), Fraction(1, 2**30), Fraction(1, 2**30 + 1)]
+        entries = [(0, i, "pos", v) for i, v in enumerate(coprime)]
+        with pytest.raises(OverflowError, match="int64"):
+            from_entries(entries, 4, 4)
+        f = from_entries([(0, 0, "pos", Fraction(1, 2**62))], 4, 4)
+        with pytest.raises(OverflowError, match="int64"):
+            merge_average([f, f, f])
+
+    def test_rescale_beyond_int64_raises(self):
+        entries = [(0, 0, "pos", 2**62), (1, 1, "neg", Fraction(1, 3))]
+        with pytest.raises(OverflowError, match="int64"):
+            from_entries(entries, 2, 2)
+
+    def test_mass_beyond_int64_is_exact(self):
+        f = from_entries([(0, 0, "pos", 2**62), (1, 1, "pos", 2**62)], 2, 2)
+        assert frame_mass(f) == 2**63
 
 
 class TestToDense:
