@@ -10,10 +10,11 @@ microseconds.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import CycleError, InfeasibleError, ProfileError, ValidationError
 
@@ -131,12 +132,25 @@ class TaskGraph:
     def __post_init__(self):
         if not self.tasks or not self.nodes:
             raise ValidationError("graph needs at least one task with layers")
+        tasks = set(self.tasks)
+        if len(tasks) != len(self.tasks):
+            raise ValidationError("duplicate task ids")
         by_id = {n.node_id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise ValidationError("duplicate node ids")
+        for n in self.nodes:
+            # lowering names the transfer on edge a -> b "a->b"
+            if "->" in n.node_id:
+                raise ValidationError(f"node id {n.node_id!r} contains '->'")
+        node_tasks = {n.task_id for n in self.nodes}
+        if node_tasks - tasks:
+            raise ValidationError(f"nodes of unknown tasks {sorted(node_tasks - tasks)}")
         for task in self.tasks:
-            if not any(n.task_id == task for n in self.nodes):
+            if task not in node_tasks:
                 raise ValidationError(f"task {task!r} has no layers")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValidationError("duplicate edges")
+        children: dict[str, list[str]] = {n: [] for n in by_id}
         for src, dst in self.edges:
             if src not in by_id or dst not in by_id:
                 raise ValidationError(f"edge ({src!r}, {dst!r}) references unknown node")
@@ -145,20 +159,9 @@ class TaskGraph:
                 raise ValidationError(
                     f"intra-task edge {src!r} -> {dst!r} violates layer order"
                 )
+            children[src].append(dst)
+        topological_order(children, key=str)  # raises CycleError; the order is unused
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_task_index", {t: i for i, t in enumerate(self.tasks)})
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        order = topological_order(
-            [n.node_id for n in self.nodes], self.edges, key=self.sort_key
-        )
-        if len(order) != len(self.nodes):
-            raise CycleError("task graph contains a cycle")
-
-    def sort_key(self, node_id: str):
-        n = self._by_id[node_id]
-        return (self._task_index[n.task_id], n.layer_index, n.node_id)
 
     def node(self, node_id: str) -> LayerNode:
         try:
@@ -174,20 +177,18 @@ class TaskGraph:
         return [n for n in self.nodes if n.task_id == task_id]
 
 
-def topological_order(
-    node_ids: Iterable[str], edges: Iterable[tuple[str, str]], key=None
-) -> list[str]:
-    """Deterministic Kahn topological order; ties broken by ``key``."""
-    import heapq
+def topological_order(children: dict[str, Iterable[str]], key: Callable) -> list[str]:
+    """Deterministic Kahn topological order of a DAG given as node -> children.
 
-    node_ids = list(node_ids)
-    key = key or (lambda n: n)
-    children: dict[str, list[str]] = {n: [] for n in node_ids}
-    indeg = {n: 0 for n in node_ids}
-    for src, dst in edges:
-        children[src].append(dst)
-        indeg[dst] += 1
-    heap = [(key(n), n) for n in node_ids if indeg[n] == 0]
+    Of the nodes whose parents have all been emitted, the one with the least
+    ``key`` comes next. ``key(n)`` is called once, after every parent of ``n``
+    has been emitted. Raises :class:`CycleError` if the graph has a cycle.
+    """
+    indeg = dict.fromkeys(children, 0)
+    for cs in children.values():
+        for c in cs:
+            indeg[c] += 1
+    heap = [(key(n), n) for n, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     order = []
     while heap:
@@ -197,6 +198,8 @@ def topological_order(
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(heap, (key(c), c))
+    if len(order) != len(indeg):
+        raise CycleError("graph contains a cycle")
     return order
 
 
@@ -205,15 +208,6 @@ class MappingCandidate:
     """Per-node (device, precision) assignment; the genome of the search."""
 
     assignment: dict[str, tuple[str, str]]
-
-    def key(self, graph: TaskGraph) -> tuple[tuple[str, str], ...]:
-        """Canonical hashable encoding, aligned to the graph's node order."""
-        return tuple(self.assignment[n] for n in graph.node_ids)
-
-    def encode(self, graph: TaskGraph) -> str:
-        return ";".join(
-            f"{n}={dev}:{prec}" for n, (dev, prec) in zip(graph.node_ids, self.key(graph))
-        )
 
 
 def validate_candidate(
@@ -248,15 +242,14 @@ class ExecutionGraph:
 
     nodes: dict[str, ExecNode]
     parents: dict[str, tuple[str, ...]]
-    children: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    children: dict[str, tuple[str, ...]] = field(init=False)  # derived from parents
 
     def __post_init__(self):
-        if not self.children:
-            children: dict[str, list[str]] = {n: [] for n in self.nodes}
-            for node, ps in self.parents.items():
-                for p in ps:
-                    children[p].append(node)
-            self.children = {n: tuple(c) for n, c in children.items()}
+        children: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for node, ps in self.parents.items():
+            for p in ps:
+                children[p].append(node)
+        self.children = {n: tuple(c) for n, c in children.items()}
 
     @property
     def queues(self) -> tuple[str, ...]:

@@ -1,15 +1,22 @@
 """Deterministic scheduling over per-device execution queues.
 
 Every device (plus the unified-memory lane for transfers) owns one serial
-queue. Nodes not ordered by data dependencies are serialized inside their
-queue by a deterministic tie-break: contention-free ready time, then task id,
-then layer index, then name. Node end times follow the recurrence
+queue. One topological pass over the execution graph serializes and times
+every queue at once. Among the nodes whose parents have all been emitted,
+the next is the least by (contention-free ready time, task id, layer index,
+name), where the ready time is frozen from the parents as
+
+    ready(n) = max(ready(p) + exec(p) for each parent p), 0 for a root.
+
+The global order is a linear extension of the dependencies, and its
+projection onto a queue is that queue's order, so each emitted node's queue
+predecessor is already timed:
 
     end(n) = max(end(parent_1), ..., end(parent_k), end(queue predecessor))
              + exec(n)
 
-computed in integer microseconds. An event-driven simulation of the same
-queue semantics serves as an independent cross-check and must agree exactly.
+in integer microseconds. An event-driven simulation of the same queue
+semantics serves as an independent cross-check and must agree exactly.
 """
 
 from __future__ import annotations
@@ -18,102 +25,16 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import CycleError
-from .hardware import ExecutionGraph, PlatformProfile
+from .hardware import ExecutionGraph, PlatformProfile, topological_order
 
 __all__ = [
-    "order_queues",
-    "end_times",
     "critical_path_latency",
     "simulate_discrete",
     "Schedule",
     "build_schedule",
     "EnergyReport",
     "estimate_energy",
-    "schedule_to_csv",
 ]
-
-
-def _asap_ready_times(eg: ExecutionGraph) -> dict[str, int]:
-    """Earliest start ignoring queue contention (frozen for the tie-break)."""
-    indeg = {n: len(ps) for n, ps in eg.parents.items()}
-    stack = [n for n, d in indeg.items() if d == 0]
-    ready = {n: 0 for n in stack}
-    seen = 0
-    while stack:
-        n = stack.pop()
-        seen += 1
-        done = ready[n] + eg.nodes[n].exec_us
-        for c in eg.children[n]:
-            ready[c] = max(ready.get(c, 0), done)
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
-    if seen != len(eg.nodes):
-        raise CycleError("execution graph contains a cycle")
-    return ready
-
-
-def order_queues(eg: ExecutionGraph) -> dict[str, list[str]]:
-    """Serialize nodes into per-queue total orders.
-
-    A single global topological pass (heap keyed by the tie-break) is
-    projected onto the queues, so every queue order is a linear extension of
-    the dependency partial order.
-    """
-    ready = _asap_ready_times(eg)
-
-    def key(name: str):
-        node = eg.nodes[name]
-        return (ready[name], node.task_id, node.layer_index, name)
-
-    indeg = {n: len(ps) for n, ps in eg.parents.items()}
-    heap = [(key(n), n) for n, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    orders: dict[str, list[str]] = {q: [] for q in eg.queues}
-    seen = 0
-    while heap:
-        _, n = heapq.heappop(heap)
-        orders[eg.nodes[n].queue].append(n)
-        seen += 1
-        for c in eg.children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, (key(c), c))
-    if seen != len(eg.nodes):
-        raise CycleError("execution graph contains a cycle")
-    return orders
-
-
-def end_times(eg: ExecutionGraph, orders: dict[str, list[str]]) -> dict[str, int]:
-    """End time per node under the given queue orders (integer microseconds)."""
-    pred: dict[str, str] = {}
-    for order in orders.values():
-        for a, b in zip(order, order[1:]):
-            pred[b] = a
-    combined: dict[str, list[str]] = {n: list(ps) for n, ps in eg.parents.items()}
-    for b, a in pred.items():
-        combined[b].append(a)
-    indeg = {n: len(ps) for n, ps in combined.items()}
-    children: dict[str, list[str]] = {n: [] for n in eg.nodes}
-    for n, ps in combined.items():
-        for p in ps:
-            children[p].append(n)
-    stack = [n for n, d in indeg.items() if d == 0]
-    end: dict[str, int] = {}
-    while stack:
-        n = stack.pop()
-        start = 0
-        for p in combined[n]:
-            if end[p] > start:
-                start = end[p]
-        end[n] = start + eg.nodes[n].exec_us
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
-    if len(end) != len(eg.nodes):
-        raise CycleError("queue orders conflict with dependencies")
-    return end
 
 
 def critical_path_latency(
@@ -133,7 +54,7 @@ def simulate_discrete(eg: ExecutionGraph, orders: dict[str, list[str]]) -> dict[
 
     A node starts once it reaches the head of its queue and all parents have
     finished; it occupies the queue for exec_us. Completion events drive the
-    clock. Must agree exactly with :func:`end_times`.
+    clock. Must agree exactly with :func:`build_schedule`.
     """
     pending = {n: len(ps) for n, ps in eg.parents.items()}
     position = {q: 0 for q in orders}
@@ -182,9 +103,32 @@ class Schedule:
 
 
 def build_schedule(eg: ExecutionGraph) -> Schedule:
-    orders = order_queues(eg)
-    end = end_times(eg, orders)
-    start = {n: end[n] - eg.nodes[n].exec_us for n in end}
+    """Serialize and time every queue in one topological pass (see the module docstring)."""
+    nodes, parents = eg.nodes, eg.parents
+    asap_end: dict[str, int] = {}  # contention-free ready time plus exec time
+
+    def key(name: str):
+        node = nodes[name]
+        ready = 0
+        for p in parents[name]:
+            if asap_end[p] > ready:
+                ready = asap_end[p]
+        asap_end[name] = ready + node.exec_us
+        return (ready, node.task_id, node.layer_index, name)
+
+    orders: dict[str, list[str]] = {q: [] for q in eg.queues}
+    free = dict.fromkeys(orders, 0)  # end of the queue's last emitted node
+    end: dict[str, int] = {}
+    start: dict[str, int] = {}
+    for name in topological_order(eg.children, key):
+        node = nodes[name]
+        t = free[node.queue]
+        for p in parents[name]:
+            if end[p] > t:
+                t = end[p]
+        start[name] = t
+        end[name] = free[node.queue] = t + node.exec_us
+        orders[node.queue].append(name)
     per_task, makespan = critical_path_latency(eg, end)
     return Schedule(orders, end, start, per_task, makespan)
 
@@ -216,12 +160,3 @@ def estimate_energy(
         idle_mj[dev.device_id] = idle_nj / 1e6
     total = sum(active_mj.values()) + sum(idle_mj.values())
     return EnergyReport(active_mj, idle_mj, total)
-
-
-def schedule_to_csv(eg: ExecutionGraph, schedule: Schedule) -> str:
-    """Per-queue timeline rows (queue,node,start_us,end_us) for Gantt plots."""
-    lines = ["queue,node,start_us,end_us"]
-    for queue in sorted(schedule.orders):
-        for name in schedule.orders[queue]:
-            lines.append(f"{queue},{name},{schedule.start_us[name]},{schedule.end_us[name]}")
-    return "\n".join(lines) + "\n"

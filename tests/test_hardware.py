@@ -4,6 +4,7 @@ import pytest
 from dvskit.errors import CycleError, ProfileError, ValidationError
 from dvskit.hardware import (
     DeviceProfile,
+    ExecutionGraph,
     Link,
     MappingCandidate,
     PlatformProfile,
@@ -138,6 +139,44 @@ class TestGraphValidation:
             )
 
 
+    def test_duplicate_task_ids_rejected(self):
+        with pytest.raises(ValidationError):
+            TaskGraph(
+                tasks=("t1", "t1"),
+                nodes=(LayerNode("a", "t1", 0, 0),),
+                edges=(),
+            )
+
+    def test_node_of_unknown_task_rejected(self):
+        with pytest.raises(ValidationError):
+            TaskGraph(
+                tasks=("t1",),
+                nodes=(LayerNode("a", "t1", 0, 0), LayerNode("b", "t9", 0, 0)),
+                edges=(),
+            )
+
+    def test_duplicate_edges_rejected(self):
+        with pytest.raises(ValidationError):
+            TaskGraph(
+                tasks=("t1",),
+                nodes=(LayerNode("a", "t1", 0, 0), LayerNode("b", "t1", 1, 0)),
+                edges=(("a", "b"), ("a", "b")),
+            )
+
+    def test_transfer_like_node_id_rejected(self):
+        # lowering an a -> b edge across devices would name its transfer "a->b"
+        with pytest.raises(ValidationError):
+            TaskGraph(
+                tasks=("t1",),
+                nodes=(
+                    LayerNode("a", "t1", 0, 0),
+                    LayerNode("b", "t1", 1, 0),
+                    LayerNode("a->b", "t1", 2, 0),
+                ),
+                edges=(("a", "b"),),
+            )
+
+
 class TestCommTime:
     def test_zero_bytes_zero_latency(self):
         assert comm_time_us(0, Link(10**9, 0)) == 0
@@ -183,6 +222,18 @@ class TestLower:
         eg = lower(graph, cand, platform)
         assert eg.nodes["t1.l0"].exec_us == 40
         assert eg.nodes["t1.l1"].exec_us == 200
+
+    def test_children_derived_from_parents(self):
+        platform, graph = two_device_platform(), chain_graph()
+        cand = MappingCandidate({"t1.l0": ("gpu", "fp32"), "t1.l1": ("dla", "fp16")})
+        eg = lower(graph, cand, platform)
+        assert eg.children == {
+            "t1.l0": ("t1.l0->t1.l1",),
+            "t1.l0->t1.l1": ("t1.l1",),
+            "t1.l1": (),
+        }
+        with pytest.raises(TypeError):
+            ExecutionGraph(eg.nodes, eg.parents, {})
 
     def test_transfer_set_matches_edge_scan(self):
         from dvskit.synth import make_instance

@@ -8,9 +8,7 @@ from dvskit.scheduling import (
     Schedule,
     build_schedule,
     critical_path_latency,
-    end_times,
     estimate_energy,
-    order_queues,
     simulate_discrete,
 )
 
@@ -56,20 +54,52 @@ def longest_path_ends(eg, orders):
     return dist
 
 
+def lexicographic_orders(eg):
+    """Independent oracle: networkx's least-key-first topological sort with
+    key (ASAP ready time, task, layer, name), projected onto the queues."""
+    g = nx.DiGraph()
+    g.add_nodes_from(eg.nodes)
+    for node, ps in eg.parents.items():
+        g.add_edges_from((p, node) for p in ps)
+    ready = {}
+    for n in nx.topological_sort(g):
+        ready[n] = max((ready[p] + eg.nodes[p].exec_us for p in g.predecessors(n)), default=0)
+
+    def key(n):
+        node = eg.nodes[n]
+        return (ready[n], node.task_id, node.layer_index, n)
+
+    orders = {q: [] for q in eg.queues}
+    for n in nx.lexicographical_topological_sort(g, key=key):
+        orders[eg.nodes[n].queue].append(n)
+    return orders
+
+
 class TestOrderQueues:
     def test_tie_break_prefers_lower_task(self):
         eg = make_eg(
             [("a", "d0", 4, "t2", 0), ("b", "d0", 6, "t1", 0)],
             [],
         )
-        assert order_queues(eg)["d0"] == ["b", "a"]
+        assert build_schedule(eg).orders["d0"] == ["b", "a"]
+
+    def test_tie_break_prefers_earlier_ready(self):
+        # "x" (t1) is ready at 10, after its parent "p" on d1; "y" (t2) is
+        # ready at 0, so it goes first although its task sorts later.
+        eg = make_eg(
+            [("p", "d1", 10, "t1", 0), ("x", "d0", 3, "t1", 1), ("y", "d0", 5, "t2", 0)],
+            [("p", "x")],
+        )
+        sched = build_schedule(eg)
+        assert sched.orders["d0"] == ["y", "x"]
+        assert sched.end_us == {"p": 10, "y": 5, "x": 13}
 
     def test_chain_respects_dependencies(self):
         eg = make_eg(
             [("a", "d0", 1, "t1", 0), ("b", "d0", 1, "t1", 1), ("c", "d0", 1, "t1", 2)],
             [("a", "b"), ("b", "c")],
         )
-        assert order_queues(eg)["d0"] == ["a", "b", "c"]
+        assert build_schedule(eg).orders["d0"] == ["a", "b", "c"]
 
     def test_cycle_detected(self):
         eg = make_eg(
@@ -77,13 +107,13 @@ class TestOrderQueues:
             [("a", "b"), ("b", "a")],
         )
         with pytest.raises(CycleError):
-            order_queues(eg)
+            build_schedule(eg)
 
     def test_orders_are_linear_extensions(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             eg = random_exec_graph(rng)
-            orders = order_queues(eg)
+            orders = build_schedule(eg).orders
             g = nx.DiGraph()
             g.add_nodes_from(eg.nodes)
             for node, ps in eg.parents.items():
@@ -94,6 +124,12 @@ class TestOrderQueues:
                 for u, v in closure.edges:
                     if u in idx and v in idx:
                         assert idx[u] < idx[v]
+
+    def test_orders_match_lexicographic_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            eg = random_exec_graph(rng)
+            assert build_schedule(eg).orders == lexicographic_orders(eg)
 
 
 class TestEndTimes:
@@ -106,7 +142,7 @@ class TestEndTimes:
             ],
             [("a", "a->b"), ("a->b", "b")],
         )
-        end = end_times(eg, order_queues(eg))
+        end = build_schedule(eg).end_us
         assert end == {"a": 5, "a->b": 7, "b": 10}
 
     def test_queue_serialization(self):
@@ -114,7 +150,7 @@ class TestEndTimes:
             [("a", "d0", 4, "t1", 0), ("b", "d0", 6, "t2", 0)],
             [],
         )
-        end = end_times(eg, order_queues(eg))
+        end = build_schedule(eg).end_us
         assert end == {"a": 4, "b": 10}
 
     def test_diamond_matches_simulation(self):
@@ -127,14 +163,14 @@ class TestEndTimes:
             ],
             [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
         )
-        orders = order_queues(eg)
-        assert end_times(eg, orders) == simulate_discrete(eg, orders)
+        sched = build_schedule(eg)
+        assert sched.end_us == simulate_discrete(eg, sched.orders)
 
     def test_causality(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             eg = random_exec_graph(rng)
-            end = end_times(eg, order_queues(eg))
+            end = build_schedule(eg).end_us
             for node, ps in eg.parents.items():
                 for p in ps:
                     assert end[node] >= end[p] + eg.nodes[node].exec_us
@@ -152,7 +188,7 @@ class TestEndTimes:
 class TestCriticalPath:
     def test_single_node(self):
         eg = make_eg([("a", "d0", 7, "t1", 0)], [])
-        per_task, makespan = critical_path_latency(eg, end_times(eg, order_queues(eg)))
+        per_task, makespan = critical_path_latency(eg, build_schedule(eg).end_us)
         assert per_task == {"t1": 7} and makespan == 7
 
     def test_two_tasks(self):
@@ -160,16 +196,16 @@ class TestCriticalPath:
             [("a", "d0", 10, "t1", 0), ("b", "d1", 14, "t2", 0)],
             [],
         )
-        per_task, makespan = critical_path_latency(eg, end_times(eg, order_queues(eg)))
+        per_task, makespan = critical_path_latency(eg, build_schedule(eg).end_us)
         assert per_task == {"t1": 10, "t2": 14} and makespan == 14
 
     def test_matches_longest_path_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             eg = random_exec_graph(rng)
-            orders = order_queues(eg)
-            end = end_times(eg, orders)
-            oracle = longest_path_ends(eg, orders)
+            sched = build_schedule(eg)
+            end = sched.end_us
+            oracle = longest_path_ends(eg, sched.orders)
             assert end == oracle
 
 
@@ -182,8 +218,8 @@ class TestSimulationEquivalence:
         rng = np.random.default_rng(23)
         for _ in range(200):
             eg = random_exec_graph(rng)
-            orders = order_queues(eg)
-            assert end_times(eg, orders) == simulate_discrete(eg, orders)
+            sched = build_schedule(eg)
+            assert sched.end_us == simulate_discrete(eg, sched.orders)
 
     def test_determinism(self):
         rng = np.random.default_rng(29)
