@@ -1,10 +1,13 @@
 """Runtime sparse-frame aggregation into merge buckets.
 
 Incoming frames are placed greedily into the earliest available bucket whose
-time span and spatial density they fit; buckets merge on flush according to
-the configured mode and the merged frames fan out to bounded per-task
-inference queues. A flush is triggered by the buffer reaching capacity or by
-a hardware-idle signal (early dispatch).
+time span and spatial density they fit. The density test compares the
+frame's active-pixel count with that of the bucket's union mask, the pixels
+active in any frame it holds. BATCH buckets hold one frame each, so they
+never test a second one. Buckets merge on flush according to the configured
+mode and the merged frames fan out to bounded per-task inference queues. A
+flush is triggered by the buffer reaching capacity or by a hardware-idle
+signal (early dispatch).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import CapacityError, ShapeError, ValidationError
 from .frames import (
     BatchedFrames,
     SparseFrame,
-    active_pixel_count,
+    active_mask,
     frame_mass,
     merge_add,
     merge_average,
@@ -97,23 +100,18 @@ class AggregatorConfig:
             )
         except KeyError as exc:
             raise ValidationError(f"aggregator config missing field {exc}") from exc
-
-
-class _Status(enum.Enum):
-    AVL = "AVL"
-    FULL = "FULL"
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad aggregator config: {exc}") from exc
 
 
 @dataclass
 class _Bucket:
-    frames: list[SparseFrame] = field(default_factory=list)
-    t_first_us: int = 0
-    t_last_us: int = 0
-    active: set[int] = field(default_factory=set)
-    status: _Status = _Status.AVL
+    """Frames held, their union active-pixel mask and its count."""
 
-    def occupancy(self) -> int:
-        return len(self.frames)
+    frames: list[SparseFrame] = field(default_factory=list)
+    active: np.ndarray | None = None
+    n_active: int = 0
+    full: bool = False
 
 
 @dataclass(frozen=True)
@@ -161,21 +159,25 @@ class Aggregator:
     ):
         if not tasks:
             raise ValidationError("need at least one task")
+        if len(set(tasks)) != len(tasks):
+            raise ValidationError(f"duplicate task ids in {tuple(tasks)!r}")
+        if width <= 0 or height <= 0:
+            raise ValidationError(f"sensor dims {width}x{height} must be positive")
         self.config = config
         self.width = width
         self.height = height
         self.tasks = tuple(tasks)
+        # a BATCH bucket dispatches its one frame unmerged
+        self._capacity = 1 if config.c_mode is MergeMode.BATCH else config.mb_size
         self._buckets = [_Bucket() for _ in range(config.n_buckets)]
         self.queues: dict[str, deque[DispatchedFrame]] = {t: deque() for t in self.tasks}
         self.counters: dict[str, TaskCounters] = {t: TaskCounters() for t in self.tasks}
         self.ingested_frames = 0
         self.ingested_mass = 0
-        self.dispatch_ages_us: list[int] = []
-        self._occupancy_at_flush: list[int] = []
 
     @property
     def total_frames(self) -> int:
-        return sum(b.occupancy() for b in self._buckets)
+        return sum(len(b.frames) for b in self._buckets)
 
     @property
     def needs_flush(self) -> bool:
@@ -185,22 +187,21 @@ class Aggregator:
         return sum(int(frame_mass(f)) for b in self._buckets for f in b.frames)
 
     def bucket_snapshot(self) -> list[tuple[int, str]]:
-        """(occupancy, status) per bucket, for metrics and tests."""
-        return [(b.occupancy(), b.status.value) for b in self._buckets]
+        """(occupancy, "AVL" or "FULL") per bucket, for metrics and tests."""
+        return [(len(b.frames), "FULL" if b.full else "AVL") for b in self._buckets]
 
     def _accepts(self, bucket: _Bucket, frame: SparseFrame, n_active: int) -> bool:
         if not bucket.frames:
             return True
         # time condition: merged span including the candidate stays within MtTh
-        span = max(bucket.t_last_us, frame.t_ref_us) - min(bucket.t_first_us, frame.t_ref_us)
-        if span > self.config.mt_th_us:
+        t_refs = [f.t_ref_us for f in bucket.frames] + [frame.t_ref_us]
+        if max(t_refs) - min(t_refs) > self.config.mt_th_us:
             return False
         # density condition: relative change of the running merge density;
         # counts compare exactly because both densities share the pixel count
-        n_bucket = len(bucket.active)
-        if n_bucket == 0:
+        if bucket.n_active == 0:
             return n_active == 0
-        return abs(n_active - n_bucket) <= self.config.md_th * n_bucket
+        return abs(n_active - bucket.n_active) <= self.config.md_th * bucket.n_active
 
     def place(self, frame: SparseFrame) -> PlacementReport:
         """Place one frame in the earliest bucket that accepts it.
@@ -215,36 +216,26 @@ class Aggregator:
             )
         if frame.den != 1:
             raise ValidationError(f"frame values over denominator {frame.den} are not counts")
-        batch_mode = self.config.c_mode is MergeMode.BATCH
-        n_active = 0 if batch_mode else active_pixel_count(frame)
+        mask = active_mask(frame)
+        n_active = int(np.count_nonzero(mask))
         newly_full: list[int] = []
         for idx, bucket in enumerate(self._buckets):
-            if bucket.status is _Status.FULL:
+            if bucket.full:
                 continue
-            if not batch_mode and not self._accepts(bucket, frame, n_active):
-                bucket.status = _Status.FULL
+            if not self._accepts(bucket, frame, n_active):
+                bucket.full = True
                 newly_full.append(idx)
                 continue
-            self._admit(bucket, frame, batch_mode)
-            if batch_mode or bucket.occupancy() == self.config.mb_size:
-                bucket.status = _Status.FULL
+            bucket.frames.append(frame)
+            bucket.active = mask if bucket.active is None else bucket.active | mask
+            bucket.n_active = int(np.count_nonzero(bucket.active))
+            if len(bucket.frames) == self._capacity:
+                bucket.full = True
                 newly_full.append(idx)
             self.ingested_frames += 1
             self.ingested_mass += int(frame_mass(frame))
             return PlacementReport(idx, tuple(newly_full))
         raise CapacityError("no available merge bucket; flush required")
-
-    def _admit(self, bucket: _Bucket, frame: SparseFrame, batch_mode: bool) -> None:
-        if bucket.frames:
-            bucket.t_first_us = min(bucket.t_first_us, frame.t_ref_us)
-            bucket.t_last_us = max(bucket.t_last_us, frame.t_ref_us)
-        else:
-            bucket.t_first_us = bucket.t_last_us = frame.t_ref_us
-        bucket.frames.append(frame)
-        if not batch_mode:
-            for ch in (frame.pos, frame.neg):
-                if len(ch):
-                    bucket.active.update((ch[:, 0] * self.width + ch[:, 1]).tolist())
 
     def _collapse(self, bucket: _Bucket, t_now_us: int) -> DispatchedFrame:
         mode = self.config.c_mode
@@ -263,13 +254,8 @@ class Aggregator:
         Queues exceeding iq_depth discard their oldest entries, which are
         counted. Buckets reset to empty/available.
         """
-        dispatched: list[DispatchedFrame] = []
-        for bucket in self._buckets:
-            if bucket.frames:
-                dispatched.append(self._collapse(bucket, t_now_us))
+        dispatched = [self._collapse(b, t_now_us) for b in self._buckets if b.frames]
         self._buckets = [_Bucket() for _ in range(self.config.n_buckets)]
-        if dispatched:
-            self._occupancy_at_flush.extend(len(d.contrib_t_refs_us) for d in dispatched)
         depth = self.config.iq_depth
         for task in self.tasks:
             queue = self.queues[task]
@@ -282,14 +268,10 @@ class Aggregator:
                 dropped = queue.popleft()
                 counters.discarded_frames += 1
                 counters.discarded_mass += int(frame_mass(dropped.frame) * dropped.divisor)
-        for item in dispatched:
-            self.dispatch_ages_us.append(t_now_us - item.frame.t_ref_us)
         return dispatched
 
     def on_hardware_idle(self, t_now_us: int) -> list[DispatchedFrame]:
         """Early dispatch: flush whatever the buckets hold, if anything."""
-        if self.total_frames == 0:
-            return []
         return self.flush(t_now_us)
 
     def build_batch(self, task: str) -> BatchedFrames:
@@ -304,21 +286,3 @@ class Aggregator:
             counters.consumed_frames += 1
             counters.consumed_mass += int(frame_mass(item.frame) * item.divisor)
         return BatchedFrames(tuple(item.frame for item in items))
-
-    def occupancy_histogram(self) -> dict[int, int]:
-        """Histogram of bucket occupancies observed at flush time."""
-        hist: dict[int, int] = {}
-        for occ in self._occupancy_at_flush:
-            hist[occ] = hist.get(occ, 0) + 1
-        return dict(sorted(hist.items()))
-
-    def age_stats_us(self) -> dict[str, float]:
-        ages = self.dispatch_ages_us
-        if not ages:
-            return {"mean": 0.0, "p50": 0.0, "p95": 0.0}
-        arr = np.asarray(ages, dtype=np.float64)
-        return {
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-        }

@@ -270,19 +270,17 @@ def concat_frames(frames: Sequence[SparseFrame]) -> BatchedFrames:
     return BatchedFrames(tuple(frames))
 
 
-def active_pixel_count(frame: SparseFrame) -> int:
-    """Number of distinct pixels active in either channel."""
-    if len(frame.pos) == 0 and len(frame.neg) == 0:
-        return 0
-    flats = [ch[:, ROW] * frame.width + ch[:, COL] for ch in (frame.pos, frame.neg) if len(ch)]
-    if len(flats) == 1:
-        return len(flats[0])
-    return len(np.union1d(flats[0], flats[1]))
+def active_mask(frame: SparseFrame) -> np.ndarray:
+    """Flat (height*width,) bool mask of the pixels active in either channel."""
+    mask = np.zeros(frame.width * frame.height, dtype=bool)
+    for ch in (frame.pos, frame.neg):
+        mask[ch[:, ROW] * frame.width + ch[:, COL]] = True
+    return mask
 
 
 def spatial_density(frame: SparseFrame) -> float:
     """Fraction of sensor pixels active in either channel (union of channels)."""
-    return active_pixel_count(frame) / (frame.width * frame.height)
+    return int(np.count_nonzero(active_mask(frame))) / (frame.width * frame.height)
 
 
 def frame_mass(frame: SparseFrame) -> Fraction:

@@ -365,7 +365,7 @@ def graph_to_dict(graph: TaskGraph) -> dict:
             {
                 "id": task,
                 "layers": [
-                    {"id": n.node_id, "out_bytes": n.out_bytes}
+                    {"id": n.node_id, "index": n.layer_index, "out_bytes": n.out_bytes}
                     for n in graph.task_nodes(task)
                 ],
             }
@@ -376,6 +376,7 @@ def graph_to_dict(graph: TaskGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> TaskGraph:
+    """Inverse of graph_to_dict; a layer without "index" takes its list position."""
     try:
         tasks, nodes = [], []
         for task in data["tasks"]:
@@ -385,7 +386,7 @@ def graph_from_dict(data: dict) -> TaskGraph:
                     LayerNode(
                         node_id=layer["id"],
                         task_id=task["id"],
-                        layer_index=i,
+                        layer_index=int(layer.get("index", i)),
                         out_bytes=int(layer.get("out_bytes", 0)),
                     )
                 )

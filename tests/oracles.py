@@ -90,3 +90,59 @@ def random_frame(
         entries.append((row, col, channel, value))
     t = int(rng.integers(0, 1_000_000)) if t_ref is None else t_ref
     return from_entries(entries, width, height, t_ref_us=t), entries
+
+
+class ReferencePlacer:
+    """Brute-force bucket placement: Python pixel sets and a plain span check.
+
+    A frame goes to the earliest bucket not yet closed that accepts it; every
+    bucket that rejects it on the way is closed. An empty bucket accepts any
+    frame. A held bucket accepts when the t_ref span of its frames plus the
+    new one is at most ``mt_th_us`` and the frame's active-pixel count is
+    within ``md_th`` (relative) of the count of pixels active in any held
+    frame; a bucket with no active pixels accepts only frames without any.
+    A bucket closes on reaching ``capacity`` frames.
+    """
+
+    def __init__(self, n_buckets: int, capacity: int, mt_th_us: int, md_th: float):
+        self.n_buckets = n_buckets
+        self.capacity = capacity
+        self.mt_th_us = mt_th_us
+        self.md_th = md_th
+        self.buckets: list[list[int]] = []
+        self.flush()
+
+    def place(self, frame: SparseFrame) -> tuple[int, tuple[int, ...]] | None:
+        """(bucket index, buckets closed on the way), or None when all are closed."""
+        pixels = {(r, c) for r, c, _, _ in frame.pos.tolist() + frame.neg.tolist()}
+        closed = []
+        for idx, held in enumerate(self.buckets):
+            if self.closed[idx]:
+                continue
+            if held and not self._accepts(held, self.pixels[idx], frame.t_ref_us, pixels):
+                self.closed[idx] = True
+                closed.append(idx)
+                continue
+            held.append(frame.t_ref_us)
+            self.pixels[idx] |= pixels
+            if len(held) == self.capacity:
+                self.closed[idx] = True
+                closed.append(idx)
+            return idx, tuple(closed)
+        return None
+
+    def _accepts(self, t_refs: list[int], held: set, t_ref: int, pixels: set) -> bool:
+        times = t_refs + [t_ref]
+        if max(times) - min(times) > self.mt_th_us:
+            return False
+        if not held:
+            return not pixels
+        return abs(len(pixels) - len(held)) <= self.md_th * len(held)
+
+    def flush(self) -> list[tuple[int, ...]]:
+        """t_refs of every non-empty bucket, in bucket order; empties all buckets."""
+        out = [tuple(b) for b in self.buckets if b]
+        self.buckets = [[] for _ in range(self.n_buckets)]
+        self.pixels = [set() for _ in range(self.n_buckets)]
+        self.closed = [False] * self.n_buckets
+        return out

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from dvskit.aggregator import Aggregator, AggregatorConfig, MergeMode
 from dvskit.errors import CapacityError, ShapeError, ValidationError
 from dvskit.frames import frame_mass, from_entries, merge_add
-from oracles import random_frame
+from oracles import ReferencePlacer, random_frame
 
 
 def make_frame(t_ref, n_pixels, width=16, height=16, seed=None):
@@ -50,6 +52,23 @@ class TestConfig:
             }
         )
         assert cfg.n_buckets == 4
+
+    def test_from_dict_bad_value_is_validation_error(self):
+        fields = dict(e_buf_size=8, mb_size=2, c_mode="cAdd", mt_th_us=1000, md_th=0.25)
+        for key, bad in [("e_buf_size", None), ("md_th", "dense"), ("iq_depth", [1])]:
+            with pytest.raises(ValidationError):
+                AggregatorConfig.from_dict({**fields, key: bad})
+
+
+class TestAggregatorInput:
+    def test_duplicate_task_ids_rejected(self):
+        with pytest.raises(ValidationError):
+            Aggregator(config(), 16, 16, tasks=("a", "a"))
+
+    @pytest.mark.parametrize("width,height", [(0, 16), (16, 0), (-4, 16)])
+    def test_non_positive_dims_rejected(self, width, height):
+        with pytest.raises(ValidationError):
+            Aggregator(config(), width, height)
 
 
 class TestPlacement:
@@ -285,6 +304,77 @@ class TestInvariantFuzz:
             # FIFO: dispatch timestamps nondecreasing along the queue
             times = [d.t_dispatch_us for d in agg.queues[task]]
             assert times == sorted(times)
+
+
+class TestReferencePlacement:
+    """Placements and flushed buckets equal the brute-force reference placer's."""
+
+    @pytest.mark.parametrize("mode", ["cAdd", "cAverage", "cBatch"])
+    def test_matches_reference_placer(self, mode):
+        rng = np.random.default_rng(sum(map(ord, mode)))
+        multi_frame_buckets = 0
+        for _ in range(80):
+            mb = int(rng.integers(1, 5))
+            cfg = config(
+                e_buf_size=mb * int(rng.integers(1, 4)),
+                mb_size=mb,
+                c_mode=mode,
+                mt_th_us=int(rng.integers(1, 3000)),
+                md_th=float(rng.random() * 1.5),
+                iq_depth=None,
+            )
+            agg = Aggregator(cfg, 5, 4)
+            capacity = 1 if mode == "cBatch" else mb
+            ref = ReferencePlacer(cfg.n_buckets, capacity, cfg.mt_th_us, cfg.md_th)
+            t = 0
+            for _ in range(int(rng.integers(1, 40))):
+                t += int(rng.integers(0, 1500))
+                frame, _ = random_frame(rng, 5, 4, max_entries=12, t_ref=t)
+                expected = ref.place(frame)
+                if expected is None:
+                    with pytest.raises(CapacityError):
+                        agg.place(frame)
+                    self._flush_both(agg, ref, t)
+                    expected = ref.place(frame)
+                report = agg.place(frame)
+                assert (report.bucket_index, report.newly_full) == expected
+                if agg.needs_flush or rng.random() < 0.15:
+                    multi_frame_buckets += sum(len(b) > 1 for b in ref.buckets)
+                    self._flush_both(agg, ref, t)
+        if mode != "cBatch":
+            assert multi_frame_buckets > 50  # the density rule saw held unions
+
+    @staticmethod
+    def _flush_both(agg, ref, t):
+        assert [d.contrib_t_refs_us for d in agg.flush(t)] == ref.flush()
+
+
+def test_memory_bounded_over_many_cycles():
+    """A long stream of place -> idle flush -> build_batch holds no growing state."""
+    frames = [make_frame(0, n) for n in range(1, 8)]
+
+    def cycles(agg, n):
+        for i in range(n):
+            agg.place(frames[i % len(frames)])
+            agg.on_hardware_idle(i * 100)
+            agg.build_batch("task0")
+
+    def traced_bytes():
+        gc.collect()  # a full collection also empties the interpreter's free lists
+        return tracemalloc.get_traced_memory()[0]
+
+    cycles(Aggregator(config(iq_depth=2), 16, 16), 200)  # one-time numpy and dataclass caches
+    agg = Aggregator(config(iq_depth=2), 16, 16)
+    tracemalloc.start()
+    try:
+        cycles(agg, 50)
+        before = traced_bytes()
+        cycles(agg, 500)
+        growth = traced_bytes() - before
+    finally:
+        tracemalloc.stop()
+    # about 50 bytes per cycle would be one retained int and list slot per flush
+    assert growth < 15_000, f"{growth} bytes retained over 500 cycles"
 
 
 def test_determinism_same_trajectory():

@@ -113,6 +113,25 @@ class TestProfiles:
         graph = chain_graph()
         assert graph_from_dict(graph_to_dict(graph)) == graph
 
+    @pytest.mark.parametrize(
+        "nodes,edges",
+        [
+            ((LayerNode("a", "t1", 1, 0), LayerNode("b", "t1", 0, 0)), (("b", "a"),)),
+            ((LayerNode("a", "t1", 0, 8), LayerNode("b", "t1", 5, 4)), (("a", "b"),)),
+        ],
+        ids=["out_of_order", "gapped"],
+    )
+    def test_graph_roundtrip_keeps_layer_indices(self, nodes, edges):
+        graph = TaskGraph(("t1",), nodes, edges)
+        assert graph_from_dict(graph_to_dict(graph)) == graph
+
+    def test_synth_graphs_roundtrip(self):
+        from dvskit.synth import make_instance
+
+        for seed in range(50):
+            graph, _, _ = make_instance(seed)
+            assert graph_from_dict(graph_to_dict(graph)) == graph
+
     def test_candidate_roundtrip(self):
         cand = MappingCandidate({"t1.l0": ("gpu", "fp32"), "t1.l1": ("gpu", "int8")})
         assert candidate_from_dict(candidate_to_dict(cand)) == cand
