@@ -12,7 +12,6 @@ Subsystems:
 """
 
 from .events import (
-    Event,
     EventWindow,
     SceneSegment,
     SceneSpec,

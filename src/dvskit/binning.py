@@ -3,8 +3,13 @@
 A window [Tstart, Tend) is split into n_bins equal slices; every event lands
 in bin floor((t - Tstart) / biS) with biS = (Tend - Tstart) / n_bins. The
 index is evaluated as floor((t - Tstart) * n_bins / (Tend - Tstart)) in
-integer arithmetic, which is algebraically identical over the rationals and
+int64 arithmetic, which is algebraically identical over the rationals and
 free of floating-point drift when n_bins does not divide the window.
+
+A window is binned with one sort: one ``np.unique`` over the events'
+(bin, channel, pixel) keys yields each frame's canonical pixels and counts
+as one slice. A frame's t_ref is the minimum timestamp of its bin, so the
+order of events inside the window does not matter.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .errors import BoundsError, ValidationError
 from .events import COL_P, COL_T, COL_X, COL_Y, EventWindow
-from .frames import SparseFrame, counts_frame
+from .frames import _I64_MAX, SparseFrame, _frame_from_keys
 
 __all__ = ["BinningSpec", "bin_index", "to_sparse_frames"]
 
@@ -35,52 +40,56 @@ class BinningSpec:
             raise ValidationError("sensor dimensions must be positive")
 
 
-def bin_index(t_us: int, t_start_us: int, t_end_us: int, n_bins: int) -> int:
-    """Bin index of a timestamp inside [t_start, t_end), clamped to n_bins - 1."""
-    if not t_start_us <= t_us < t_end_us:
-        raise ValidationError(
-            f"timestamp {t_us} outside window [{t_start_us}, {t_end_us})"
-        )
-    idx = (t_us - t_start_us) * n_bins // (t_end_us - t_start_us)
-    return min(idx, n_bins - 1)
+def bin_index(t_us, t_start_us: int, t_end_us: int, n_bins: int) -> int | np.ndarray:
+    """Bin index of a timestamp, or of each timestamp in an int64 array.
+
+    Raises ValidationError for a timestamp outside [t_start, t_end) and
+    OverflowError when span * n_bins does not fit int64.
+    """
+    span = t_end_us - t_start_us
+    if span * n_bins > _I64_MAX:
+        raise OverflowError(f"window span {span} times {n_bins} bins does not fit int64")
+    t = np.asarray(t_us, dtype=np.int64)
+    if t.size and (t.min() < t_start_us or t.max() >= t_end_us):
+        bad = t.min() if t.min() < t_start_us else t.max()
+        raise ValidationError(f"timestamp {bad} outside window [{t_start_us}, {t_end_us})")
+    idx = (t - t_start_us) * n_bins // span
+    return idx if idx.ndim else int(idx)
 
 
 def to_sparse_frames(window: EventWindow, spec: BinningSpec) -> list[SparseFrame]:
     """Convert a window into exactly n_bins two-channel count frames.
 
     Frame i accumulates, per pixel, the +1 events (pos channel) and -1 events
-    (neg channel) whose bin index is i; (row, col) = (y, x). Empty bins yield
-    empty frames with t_ref at the bin start; non-empty bins use the earliest
-    contributing event time.
+    (neg channel) whose bin index is i; (row, col) = (y, x). Non-empty bins
+    take t_ref from their earliest event, empty bins from the bin start.
+    Events may be in any order. An event outside the sensor raises
+    BoundsError, one outside the window ValidationError, and a key space
+    n_bins * 2 * width * height beyond int64 OverflowError.
     """
     events = window.events
     t0, t1 = window.t_start_us, window.t_end_us
-    span = t1 - t0
-    n_bins = spec.n_bins
-    if len(events):
-        xs, ys = events[:, COL_X], events[:, COL_Y]
-        if xs.max() >= spec.width or ys.max() >= spec.height:
-            raise BoundsError(f"event outside {spec.width}x{spec.height} sensor")
-        bins = np.minimum((events[:, COL_T] - t0) * n_bins // span, n_bins - 1)
-    else:
-        bins = np.empty(0, dtype=np.int64)
+    n_bins, width, height = spec.n_bins, spec.width, spec.height
+    n_pixels = width * height
+    bin_keys = 2 * n_pixels  # one key per pixel of each channel
+    if n_bins * bin_keys > _I64_MAX:
+        raise OverflowError(f"{n_bins} bins of {width}x{height} pixel keys do not fit int64")
+    ts, xs, ys = events[:, COL_T], events[:, COL_X], events[:, COL_Y]
+    if len(events) and (min(xs.min(), ys.min()) < 0 or xs.max() >= width or ys.max() >= height):
+        raise BoundsError(f"event outside {width}x{height} sensor")
+    bins = bin_index(ts, t0, t1, n_bins)
+    keys, counts = np.unique(
+        bins * bin_keys + (events[:, COL_P] != 1) * n_pixels + ys * width + xs,
+        return_counts=True,
+    )
+    t_first = np.full(n_bins, _I64_MAX)
+    np.minimum.at(t_first, bins, ts)
+    bounds = np.searchsorted(keys, np.arange(n_bins + 1) * bin_keys).tolist()
 
     frames = []
-    for i in range(n_bins):
-        # events are time-sorted, so each bin is a contiguous slice
-        lo = int(np.searchsorted(bins, i, side="left"))
-        hi = int(np.searchsorted(bins, i, side="right"))
-        sub = events[lo:hi]
-        if len(sub):
-            t_ref = int(sub[0, COL_T])
-            flat = sub[:, COL_Y] * spec.width + sub[:, COL_X]
-            is_pos = sub[:, COL_P] == 1
-            pos_flat, pos_counts = np.unique(flat[is_pos], return_counts=True)
-            neg_flat, neg_counts = np.unique(flat[~is_pos], return_counts=True)
-        else:
-            t_ref = t0 + i * span // n_bins
-            pos_flat = pos_counts = neg_flat = neg_counts = np.empty(0, dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        t_ref = int(t_first[i]) if hi > lo else t0 + i * (t1 - t0) // n_bins
         frames.append(
-            counts_frame(spec.width, spec.height, t_ref, pos_flat, pos_counts, neg_flat, neg_counts)
+            _frame_from_keys(width, height, t_ref, keys[lo:hi] - i * bin_keys, counts[lo:hi], 1)
         )
     return frames

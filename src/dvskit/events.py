@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -19,13 +19,6 @@ from .errors import BoundsError, OrderingError, ParseError, ValidationError
 COL_T, COL_X, COL_Y, COL_P = 0, 1, 2, 3
 
 US_PER_S = 1_000_000
-
-
-class Event(NamedTuple):
-    t: int
-    x: int
-    y: int
-    p: int
 
 
 def empty_events() -> np.ndarray:

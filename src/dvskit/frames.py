@@ -9,6 +9,11 @@ makes all values integral, so ``gcd(den, *nums) == 1``. Binning and
 add-merges give ``den == 1``; an average over k frames gives a divisor of k.
 Every sum and rescale is overflow-checked: a value or denominator that does
 not fit int64 raises OverflowError instead of wrapping.
+
+``_frame_from_keys`` is the one place channel arrays are laid out. It takes
+sorted unique flat keys over both channels plus reduced numerators, and
+every constructor ends in it: entry lists and dicts through
+``_canonical_frame``, merges, and the binning module.
 """
 
 from __future__ import annotations
@@ -25,10 +30,6 @@ from .errors import BoundsError, ShapeError, ValidationError
 ROW, COL, NUM, DEN = 0, 1, 2, 3
 
 _I64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _empty_channel() -> np.ndarray:
-    return np.empty((0, 4), dtype=np.int64)
 
 
 def _sum_may_wrap(values: np.ndarray) -> bool:
@@ -82,8 +83,19 @@ def _canonical_frame(
         keys, nums = keys[starts], np.add.reduceat(nums, starts)
 
     g = math.gcd(den, int(np.gcd.reduce(nums)))
-    nums //= g
-    den //= g
+    return _frame_from_keys(width, height, t_ref_us, keys, nums // g, den // g)
+
+
+def _frame_from_keys(
+    width: int, height: int, t_ref_us: int, keys: np.ndarray, nums: np.ndarray, den: int
+) -> SparseFrame:
+    """Lay out both channels from canonical flat entries.
+
+    ``keys`` are ascending unique flat pixel ids ``row * width + col``, with
+    the neg channel's offset by ``width * height``; ``nums`` are their nonzero
+    numerators over ``den``, already reduced so ``gcd(den, *nums) == 1``.
+    """
+    n_pixels = width * height
     split = int(np.searchsorted(keys, n_pixels))
 
     def channel(flat: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -139,7 +151,8 @@ class SparseFrame:
 
 
 def empty_frame(width: int, height: int, t_ref_us: int = 0) -> SparseFrame:
-    return SparseFrame(width, height, t_ref_us, _empty_channel(), _empty_channel())
+    empty = np.empty(0, dtype=np.int64)
+    return _frame_from_keys(width, height, t_ref_us, empty, empty, 1)
 
 
 _CHANNEL_ALIASES = {"pos": "pos", "+1": "pos", 1: "pos", "neg": "neg", "-1": "neg", -1: "neg"}
@@ -169,29 +182,6 @@ def from_entries(
         target = pos_rows if ch == "pos" else neg_rows
         target.append((row, col, frac.numerator, frac.denominator))
     return _canonical_frame(width, height, t_ref_us, pos_rows, neg_rows)
-
-
-def counts_frame(
-    width: int,
-    height: int,
-    t_ref_us: int,
-    pos_flat: np.ndarray,
-    pos_counts: np.ndarray,
-    neg_flat: np.ndarray,
-    neg_counts: np.ndarray,
-) -> SparseFrame:
-    """Fast constructor from per-channel unique sorted flat indices + positive counts."""
-
-    def channel(flat, counts):
-        if len(flat) == 0:
-            return _empty_channel()
-        return np.column_stack(
-            [flat // width, flat % width, counts, np.ones(len(flat), dtype=np.int64)]
-        ).astype(np.int64)
-
-    return SparseFrame(
-        width, height, t_ref_us, channel(pos_flat, pos_counts), channel(neg_flat, neg_counts)
-    )
 
 
 class DenseGrids(NamedTuple):
@@ -248,9 +238,13 @@ def merge_average(frames: Sequence[SparseFrame]) -> SparseFrame:
     den = total.den * len(frames)
     if den > _I64_MAX:
         raise OverflowError(f"average denominator {den} does not fit int64")
-    pos, neg = total.pos.copy(), total.neg.copy()
-    pos[:, DEN] = neg[:, DEN] = den
-    return _canonical_frame(total.width, total.height, total.t_ref_us, pos, neg)
+    # the sum's keys are already sorted and unique: only the reduction is left
+    width, height = total.width, total.height
+    rows, cols, nums, _ = np.concatenate([total.pos, total.neg]).T
+    keys = rows * width + cols
+    keys[len(total.pos):] += width * height
+    g = math.gcd(den, int(np.gcd.reduce(nums)))
+    return _frame_from_keys(width, height, total.t_ref_us, keys, nums // g, den // g)
 
 
 @dataclass(frozen=True)
@@ -304,12 +298,3 @@ def frame_from_dict(data: dict) -> SparseFrame:
     return _canonical_frame(
         int(data["width"]), int(data["height"]), int(data["t_ref_us"]), data["pos"], data["neg"]
     )
-
-
-def frame_to_csv(frame: SparseFrame) -> str:
-    """CSV triplet dump (channel,row,col,value) for plotting; values as floats."""
-    lines = ["channel,row,col,value"]
-    for name, ch in (("pos", frame.pos), ("neg", frame.neg)):
-        for r, c, n, d in ch.tolist():
-            lines.append(f"{name},{r},{c},{n / d!r}")
-    return "\n".join(lines) + "\n"

@@ -173,9 +173,6 @@ class TaskGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.node_id for n in self.nodes)
 
-    def task_nodes(self, task_id: str) -> list[LayerNode]:
-        return [n for n in self.nodes if n.task_id == task_id]
-
 
 def topological_order(children: dict[str, Iterable[str]], key: Callable) -> list[str]:
     """Deterministic Kahn topological order of a DAG given as node -> children.
@@ -361,39 +358,32 @@ def save_platform(platform: PlatformProfile, path: str | Path) -> None:
 
 def graph_to_dict(graph: TaskGraph) -> dict:
     return {
-        "tasks": [
-            {
-                "id": task,
-                "layers": [
-                    {"id": n.node_id, "index": n.layer_index, "out_bytes": n.out_bytes}
-                    for n in graph.task_nodes(task)
-                ],
-            }
-            for task in graph.tasks
+        "tasks": list(graph.tasks),
+        "layers": [
+            {"id": n.node_id, "task": n.task_id, "index": n.layer_index, "out_bytes": n.out_bytes}
+            for n in graph.nodes
         ],
         "edges": [{"from": s, "to": t} for s, t in graph.edges],
     }
 
 
 def graph_from_dict(data: dict) -> TaskGraph:
-    """Inverse of graph_to_dict; a layer without "index" takes its list position."""
+    """Inverse of graph_to_dict; layers keep their list order."""
     try:
-        tasks, nodes = [], []
-        for task in data["tasks"]:
-            tasks.append(task["id"])
-            for i, layer in enumerate(task["layers"]):
-                nodes.append(
-                    LayerNode(
-                        node_id=layer["id"],
-                        task_id=task["id"],
-                        layer_index=int(layer.get("index", i)),
-                        out_bytes=int(layer.get("out_bytes", 0)),
-                    )
-                )
+        tasks = tuple(data["tasks"])
+        nodes = tuple(
+            LayerNode(
+                node_id=layer["id"],
+                task_id=layer["task"],
+                layer_index=int(layer["index"]),
+                out_bytes=int(layer["out_bytes"]),
+            )
+            for layer in data["layers"]
+        )
         edges = tuple((e["from"], e["to"]) for e in data.get("edges", []))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad task graph: {exc}") from exc
-    return TaskGraph(tuple(tasks), tuple(nodes), edges)
+    return TaskGraph(tasks, nodes, edges)
 
 
 def load_graph(path: str | Path) -> TaskGraph:

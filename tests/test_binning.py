@@ -3,8 +3,8 @@ import pytest
 
 from dvskit.binning import BinningSpec, bin_index, to_sparse_frames
 from dvskit.errors import BoundsError, ValidationError
-from dvskit.events import window_events
-from dvskit.frames import frame_mass, to_dense
+from dvskit.events import EventWindow, window_events
+from dvskit.frames import frame_mass, from_entries, to_dense
 from oracles import dense_binned_counts, rational_bin_index
 
 
@@ -93,6 +93,30 @@ class TestConvert:
             assert np.array_equal(g.neg_num, oracle[i, 1])
             assert np.all(g.pos_den == 1) and np.all(g.neg_den == 1)
 
+    def test_random_windows_equal_dense_oracle_frames(self):
+        rng = np.random.default_rng(43)
+        for trial in range(80):
+            width, height = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            t0, span = int(rng.integers(-1000, 1000)), int(rng.integers(1, 400))
+            n_bins = int(rng.integers(1, 12))  # mostly not dividing the span
+            ev = _random_events(rng, int(rng.integers(0, 60)), width, height, t0, t0 + span - 1)
+            if trial % 2:
+                ev = rng.permutation(ev)  # binning does not depend on event order
+            t1 = t0 + span
+            spec = BinningSpec(n_bins, width, height)
+            frames = to_sparse_frames(EventWindow(t0, t1, ev, 0), spec)
+            grid = dense_binned_counts(ev, t0, t1, n_bins, width, height)
+            assert len(frames) == n_bins
+            for i, frame in enumerate(frames):
+                times = [t for t in ev[:, 0].tolist() if rational_bin_index(t, t0, t1, n_bins) == i]
+                t_ref = min(times) if times else t0 + i * span // n_bins
+                entries = [
+                    (int(r), int(c), channel, int(grid[i, k, r, c]))
+                    for k, channel in enumerate(("pos", "neg"))
+                    for r, c in zip(*np.nonzero(grid[i, k]))
+                ]
+                assert frame == from_entries(entries, width, height, t_ref)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         ev = _random_events(rng, 500, 16, 16, 0, 999)
@@ -100,6 +124,38 @@ class TestConvert:
         a = to_sparse_frames(win, BinningSpec(3, 16, 16))
         b = to_sparse_frames(win, BinningSpec(3, 16, 16))
         assert a == b
+
+
+class TestInputDefects:
+    def test_out_of_span_events_rejected(self):
+        ev = np.array([[-5, 0, 0, 1], [3, 1, 1, 1], [15, 2, 2, -1]], dtype=np.int64)
+        for rows in (ev, ev[:1], ev[1:]):
+            with pytest.raises(ValidationError):
+                to_sparse_frames(EventWindow(0, 10, rows, 0), BinningSpec(2, 4, 4))
+
+    def test_negative_coordinates_rejected(self):
+        for x, y in ((-1, 1), (1, -1)):
+            ev = np.array([[3, x, y, 1]], dtype=np.int64)
+            with pytest.raises(BoundsError):
+                to_sparse_frames(EventWindow(0, 10, ev, 0), BinningSpec(2, 4, 4))
+
+    def test_unsorted_window_bins_like_sorted_copy(self):
+        ev = np.array([[8, 0, 0, 1], [1, 1, 0, 1], [9, 2, 1, -1], [2, 0, 0, -1]], dtype=np.int64)
+        spec = BinningSpec(2, 4, 4)
+        got = to_sparse_frames(EventWindow(0, 10, ev, 0), spec)
+        ordered = ev[np.argsort(ev[:, 0], kind="stable")]
+        assert got == to_sparse_frames(EventWindow(0, 10, ordered, 0), spec)
+        assert [f.t_ref_us for f in got] == [1, 8]
+        assert frame_mass(got[0]) == 2
+
+    def test_key_space_beyond_int64_raises(self):
+        ev = np.array([[1, 0, 0, 1], [2**61, 1, 1, -1]], dtype=np.int64)
+        with pytest.raises(OverflowError, match="int64"):
+            bin_index(2**61, 0, 2**62, 4)
+        with pytest.raises(OverflowError, match="int64"):
+            to_sparse_frames(EventWindow(0, 2**62, ev, 0), BinningSpec(4, 4, 4))
+        with pytest.raises(OverflowError, match="int64"):
+            to_sparse_frames(EventWindow(0, 10, ev[:1], 0), BinningSpec(4, 2**31, 2**30))
 
 
 def _random_events(rng, n, width, height, t_lo, t_hi):

@@ -10,7 +10,6 @@ from dvskit.frames import (
     empty_frame,
     frame_from_dict,
     frame_mass,
-    frame_to_csv,
     frame_to_dict,
     from_entries,
     merge_add,
@@ -203,6 +202,23 @@ class TestMergeAverage:
         assert np.array_equal(avg_pos * 4, add_pos)
         assert np.array_equal(avg_neg * 4, add_neg)
 
+    def test_random_frames_equal_exact_fraction_means(self):
+        rng = np.random.default_rng(71)
+        for trial in range(80):
+            rational = trial % 2 == 1
+            drawn = [random_frame(rng, 6, 5, max_entries=20, rational=rational) for _ in range(2)]
+            # repeating frames makes every sum a multiple of the repeat count, which must cancel
+            drawn = drawn[: int(rng.integers(1, 3))] * int(rng.integers(1, 4))
+            k = len(drawn)
+            sums = {}
+            for _, entries in drawn:
+                for row, col, channel, value in entries:
+                    sums[row, col, channel] = sums.get((row, col, channel), 0) + Fraction(value)
+            frames = [f for f, _ in drawn]
+            means = [(row, col, channel, total / k) for (row, col, channel), total in sums.items()]
+            t_ref = min(f.t_ref_us for f in frames)
+            assert merge_average(frames) == from_entries(means, 6, 5, t_ref_us=t_ref)
+
 
 class TestConcat:
     def test_order_preserved_bit_equal(self):
@@ -240,10 +256,3 @@ class TestSerialization:
     def test_dict_roundtrip(self):
         frame, _ = random_frame(np.random.default_rng(53), 7, 7, rational=True)
         assert frame_from_dict(frame_to_dict(frame)) == frame
-
-    def test_csv_header_and_rows(self):
-        f = from_entries([(1, 2, "pos", 3), (0, 0, "neg", 1)], 4, 4)
-        lines = frame_to_csv(f).strip().splitlines()
-        assert lines[0] == "channel,row,col,value"
-        assert "pos,1,2,3.0" in lines
-        assert "neg,0,0,1.0" in lines

@@ -54,14 +54,10 @@ def two_device_platform():
 def chain_graph():
     return graph_from_dict(
         {
-            "tasks": [
-                {
-                    "id": "t1",
-                    "layers": [
-                        {"id": "t1.l0", "out_bytes": 1_000_000},
-                        {"id": "t1.l1", "out_bytes": 500_000},
-                    ],
-                }
+            "tasks": ["t1"],
+            "layers": [
+                {"id": "t1.l0", "task": "t1", "index": 0, "out_bytes": 1_000_000},
+                {"id": "t1.l1", "task": "t1", "index": 1, "out_bytes": 500_000},
             ],
             "edges": [{"from": "t1.l0", "to": "t1.l1"}],
         }
@@ -123,6 +119,15 @@ class TestProfiles:
     )
     def test_graph_roundtrip_keeps_layer_indices(self, nodes, edges):
         graph = TaskGraph(("t1",), nodes, edges)
+        assert graph_from_dict(graph_to_dict(graph)) == graph
+
+    def test_graph_roundtrip_keeps_interleaved_node_order(self):
+        nodes = (
+            LayerNode("a0", "a", 0, 8),
+            LayerNode("b0", "b", 0, 4),
+            LayerNode("a1", "a", 1, 2),
+        )
+        graph = TaskGraph(("a", "b"), nodes, (("a0", "a1"), ("b0", "a1")))
         assert graph_from_dict(graph_to_dict(graph)) == graph
 
     def test_synth_graphs_roundtrip(self):
