@@ -11,29 +11,4 @@ Subsystems:
 - :mod:`dvskit.synth` - seeded multi-network task graphs on a GPU/DLA/CPU platform.
 """
 
-from .events import (
-    EventWindow,
-    SceneSegment,
-    SceneSpec,
-    dump_events,
-    generate_events,
-    parse_events,
-    read_events,
-    window_events,
-    write_events,
-)
-from .frames import (
-    BatchedFrames,
-    SparseFrame,
-    concat_frames,
-    empty_frame,
-    frame_mass,
-    from_entries,
-    merge_add,
-    merge_average,
-    spatial_density,
-    to_dense,
-)
-from .binning import BinningSpec, bin_index, to_sparse_frames
-
 __version__ = "0.1.0"

@@ -76,9 +76,10 @@ class AggregatorConfig:
             raise ValidationError("need e_buf_size >= mb_size >= 1")
         if self.e_buf_size % self.mb_size != 0:
             raise ValidationError("e_buf_size must be divisible by mb_size")
-        if self.mt_th_us <= 0:
+        # the negated forms also reject NaN, which fails every comparison
+        if not self.mt_th_us > 0:
             raise ValidationError("mt_th_us must be positive")
-        if self.md_th < 0:
+        if not self.md_th >= 0:
             raise ValidationError("md_th must be >= 0")
         if self.iq_depth is not None and self.iq_depth < 1:
             raise ValidationError("iq_depth must be >= 1 (or None for unbounded)")

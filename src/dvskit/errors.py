@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """Malformed input text (AER lines, config files)."""
+    """Malformed AER event text."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -37,7 +37,3 @@ class CycleError(ValueError):
 
 class ProfileError(ValueError):
     """Platform profile incomplete for a requested lookup."""
-
-
-class InfeasibleError(ValueError):
-    """No valid mapping candidate exists for the instance."""

@@ -7,9 +7,8 @@ The column order matches the on-disk line format ``<t> <x> <y> <p>``.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -44,11 +43,11 @@ def _parse_timestamp_us(token: str, line: int) -> int:
     """
     if "." in token:
         whole, _, frac = token.partition(".")
-        if not whole.isdigit() or not frac.isdigit():
+        if not whole.isdecimal() or not frac.isdecimal():
             raise ParseError(f"bad timestamp {token!r}", line)
         frac = (frac + "000000")[:6]
         return int(whole) * US_PER_S + int(frac)
-    if not token.isdigit():
+    if not token.isdecimal():
         raise ParseError(f"bad timestamp {token!r}", line)
     return int(token)
 
@@ -63,7 +62,11 @@ def parse_events(source: str | bytes | Iterable[str], width: int, height: int) -
     lines are skipped. Events are returned in file order, timestamps exact.
     """
     if isinstance(source, bytes):
-        source = source.decode("ascii")
+        try:
+            source = source.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line = len((source[: exc.start] + b"x").decode("ascii").splitlines())
+            raise ParseError(f"non-ASCII byte {source[exc.start]:#04x}", line) from exc
     lines = source.splitlines() if isinstance(source, str) else source
     rows: list[tuple[int, int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -74,7 +77,7 @@ def parse_events(source: str | bytes | Iterable[str], width: int, height: int) -
         if len(parts) != 4 or "" in parts:
             raise ParseError(f"expected '<t> <x> <y> <p>', got {line!r}", lineno)
         t = _parse_timestamp_us(parts[0], lineno)
-        if not parts[1].isdigit() or not parts[2].isdigit():
+        if not parts[1].isdecimal() or not parts[2].isdecimal():
             raise ParseError(f"bad coordinates in {line!r}", lineno)
         x, y = int(parts[1]), int(parts[2])
         p = _POLARITY.get(parts[3])
@@ -90,19 +93,11 @@ def parse_events(source: str | bytes | Iterable[str], width: int, height: int) -
     return np.array(rows, dtype=np.int64)
 
 
-def read_events(path: str | Path, width: int, height: int) -> np.ndarray:
-    return parse_events(Path(path).read_text(), width, height)
-
-
 def dump_events(events: np.ndarray) -> str:
     """Serialize an event array to AER text; inverse of :func:`parse_events`."""
     events = as_event_array(events)
     lines = [f"{t} {x} {y} {p}" for t, x, y, p in events.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_events(events: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(dump_events(events))
 
 
 @dataclass(frozen=True)
@@ -169,8 +164,8 @@ class SceneSpec:
             raise ValidationError("scene dimensions and duration must be positive")
         spans = []
         for seg in self.segments:
-            if seg.rate_ev_s < 0:
-                raise ValidationError("segment rate must be >= 0")
+            if not 0 <= seg.rate_ev_s < math.inf:
+                raise ValidationError(f"segment rate {seg.rate_ev_s} must be finite and >= 0")
             if not (0 <= seg.t_start_us < seg.t_end_us <= self.duration_us):
                 raise ValidationError(
                     f"segment [{seg.t_start_us}, {seg.t_end_us}) outside scene duration"
@@ -255,7 +250,3 @@ def scene_from_dict(data: dict) -> SceneSpec:
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad scene spec: {exc}") from exc
-
-
-def load_scene(path: str | Path) -> SceneSpec:
-    return scene_from_dict(json.loads(Path(path).read_text()))

@@ -260,21 +260,12 @@ class BatchedFrames:
         return len(self.frames)
 
 
-def concat_frames(frames: Sequence[SparseFrame]) -> BatchedFrames:
-    return BatchedFrames(tuple(frames))
-
-
 def active_mask(frame: SparseFrame) -> np.ndarray:
     """Flat (height*width,) bool mask of the pixels active in either channel."""
     mask = np.zeros(frame.width * frame.height, dtype=bool)
     for ch in (frame.pos, frame.neg):
         mask[ch[:, ROW] * frame.width + ch[:, COL]] = True
     return mask
-
-
-def spatial_density(frame: SparseFrame) -> float:
-    """Fraction of sensor pixels active in either channel (union of channels)."""
-    return int(np.count_nonzero(active_mask(frame))) / (frame.width * frame.height)
 
 
 def frame_mass(frame: SparseFrame) -> Fraction:

@@ -1,22 +1,20 @@
 """Heterogeneous platform model: devices, links, task graphs, lowering.
 
-Layer execution times per (device, precision) come from profile files, as do
-link bandwidths and device power draws. Lowering a mapping candidate inserts
-one transfer node on every producer-consumer edge whose endpoints sit on
-different devices; transfers run on a dedicated unified-memory queue and
-cost fixed link latency plus bytes over bandwidth, rounded up to whole
-microseconds.
+Each device profile gives layer execution times per (device, precision) and
+power draws; the platform adds link bandwidths and latencies. Lowering a
+mapping candidate inserts one transfer node on every producer-consumer edge
+whose endpoints sit on different devices; transfers run on a dedicated
+unified-memory queue and cost fixed link latency plus bytes over bandwidth,
+rounded up to whole microseconds.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import CycleError, InfeasibleError, ProfileError, ValidationError
+from .errors import CycleError, ProfileError, ValidationError
 
 MEMORY_QUEUE = "memory"
 
@@ -300,7 +298,7 @@ def lower(
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# plain-dict forms
 
 
 def platform_to_dict(platform: PlatformProfile) -> dict:
@@ -348,14 +346,6 @@ def platform_from_dict(data: dict) -> PlatformProfile:
     return PlatformProfile(devices, links)
 
 
-def load_platform(path: str | Path) -> PlatformProfile:
-    return platform_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_platform(platform: PlatformProfile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(platform_to_dict(platform), sort_keys=True, indent=2) + "\n")
-
-
 def graph_to_dict(graph: TaskGraph) -> dict:
     return {
         "tasks": list(graph.tasks),
@@ -386,14 +376,6 @@ def graph_from_dict(data: dict) -> TaskGraph:
     return TaskGraph(tasks, nodes, edges)
 
 
-def load_graph(path: str | Path) -> TaskGraph:
-    return graph_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_graph(graph: TaskGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(graph), sort_keys=True, indent=2) + "\n")
-
-
 def candidate_to_dict(candidate: MappingCandidate) -> dict:
     return {
         "assignment": {
@@ -410,15 +392,5 @@ def candidate_from_dict(data: dict) -> MappingCandidate:
             for node, entry in data["assignment"].items()
         }
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad candidate file: {exc}") from exc
+        raise ValidationError(f"bad candidate: {exc}") from exc
     return MappingCandidate(assignment)
-
-
-def load_candidate(path: str | Path) -> MappingCandidate:
-    return candidate_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_candidate(candidate: MappingCandidate, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(candidate_to_dict(candidate), sort_keys=True, indent=2) + "\n"
-    )

@@ -59,6 +59,16 @@ class TestConfig:
             with pytest.raises(ValidationError):
                 AggregatorConfig.from_dict({**fields, key: bad})
 
+    @pytest.mark.parametrize("field", ["mt_th_us", "md_th"])
+    def test_nan_threshold_rejected(self, field):
+        with pytest.raises(ValidationError):
+            config(**{field: float("nan")})
+
+    def test_from_dict_nan_density_rejected(self):
+        fields = dict(e_buf_size=8, mb_size=2, c_mode="cAdd", mt_th_us=1000, md_th="nan")
+        with pytest.raises(ValidationError):
+            AggregatorConfig.from_dict(fields)
+
 
 class TestAggregatorInput:
     def test_duplicate_task_ids_rejected(self):

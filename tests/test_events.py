@@ -58,6 +58,16 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_events("10 0 0 1\nbogus line\n", width=4, height=4)
 
+    @pytest.mark.parametrize("line", ["1 \u00b2 3 1", "\u00b9 2 3 1", "0.\u00b2 1 1 1"])
+    def test_superscript_digits_report_number(self, line):
+        # str.isdigit accepts superscripts but int() does not
+        with pytest.raises(ParseError, match="line 2"):
+            parse_events(f"10 0 0 1\n{line}\n", width=4, height=4)
+
+    def test_non_ascii_bytes_report_number(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_events(b"10 0 0 1\n10 0 \xc2\xb2 1\n", width=4, height=4)
+
     def test_double_space_rejected(self):
         with pytest.raises(ParseError):
             parse_events("10  0 0 1", width=4, height=4)
@@ -196,6 +206,11 @@ class TestSyntheticScene:
     def test_zero_area_region_rejected(self):
         with pytest.raises(ValidationError):
             self._spec(segments=(SceneSegment(0, 1000, 5.0, region=(0, 0, 0, 4)),))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValidationError):
+            self._spec(segments=(SceneSegment(0, 1000, rate),))
 
     def test_overlapping_segments_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,7 +6,8 @@ import pytest
 
 from dvskit.errors import BoundsError, ShapeError, ValidationError
 from dvskit.frames import (
-    concat_frames,
+    BatchedFrames,
+    active_mask,
     empty_frame,
     frame_from_dict,
     frame_mass,
@@ -14,7 +15,6 @@ from dvskit.frames import (
     from_entries,
     merge_add,
     merge_average,
-    spatial_density,
     to_dense,
 )
 from oracles import dense_fraction_view, dense_scatter, random_frame
@@ -224,32 +224,32 @@ class TestConcat:
     def test_order_preserved_bit_equal(self):
         rng = np.random.default_rng(41)
         frames = [random_frame(rng, 5, 5)[0] for _ in range(4)]
-        batch = concat_frames(frames)
+        batch = BatchedFrames(tuple(frames))
         assert len(batch) == 4
         for got, want in zip(batch.frames, frames):
             assert got == want
 
     def test_singleton(self):
-        assert len(concat_frames([empty_frame(3, 3)])) == 1
+        assert len(BatchedFrames((empty_frame(3, 3),))) == 1
 
     def test_dims_mismatch(self):
         with pytest.raises(ShapeError):
-            concat_frames([empty_frame(3, 3), empty_frame(3, 4)])
+            BatchedFrames((empty_frame(3, 3), empty_frame(3, 4)))
 
 
 class TestDensity:
     def test_empty_frame(self):
-        assert spatial_density(empty_frame(8, 8)) == 0.0
+        assert np.count_nonzero(active_mask(empty_frame(8, 8))) / (8 * 8) == 0.0
 
     def test_four_pixels_on_8x8(self):
         f = from_entries(
             [(0, 0, "pos", 1), (1, 1, "pos", 1), (2, 2, "pos", 1), (3, 3, "pos", 1)], 8, 8
         )
-        assert spatial_density(f) == 4 / 64
+        assert np.count_nonzero(active_mask(f)) / (8 * 8) == 4 / 64
 
     def test_both_channels_count_once(self):
         f = from_entries([(2, 2, "pos", 1), (2, 2, "neg", 3)], 8, 8)
-        assert spatial_density(f) == 1 / 64
+        assert np.count_nonzero(active_mask(f)) / (8 * 8) == 1 / 64
 
 
 class TestSerialization:
