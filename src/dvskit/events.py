@@ -25,13 +25,24 @@ def empty_events() -> np.ndarray:
 
 
 def as_event_array(events) -> np.ndarray:
-    """Coerce a sequence of (t, x, y, p) rows into the canonical array form."""
-    arr = np.asarray(events, dtype=np.int64)
+    """Coerce a sequence of (t, x, y, p) rows into the canonical array form.
+
+    Empty input gives :func:`empty_events`. Raises ``ValidationError`` for a
+    shape other than (n, 4), a non-integer dtype (float, bool, object, str)
+    or a uint64 value past the int64 range.
+    """
+    arr = np.asarray(events)
     if arr.size == 0:
         return empty_events()
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValidationError(f"event array must have shape (n, 4), got {arr.shape}")
-    return arr
+    if arr.dtype == np.int64:
+        return arr
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"event array must hold integers, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and arr.max() > np.iinfo(np.int64).max:
+        raise ValidationError("event array value exceeds the int64 range")
+    return arr.astype(np.int64)
 
 
 def _parse_timestamp_us(token: str, line: int) -> int:
@@ -55,11 +66,22 @@ def _parse_timestamp_us(token: str, line: int) -> int:
 _POLARITY = {"0": -1, "1": 1, "-1": -1, "+1": 1}
 
 
+def _ascii_lines(lines: Iterable[str]) -> Iterable[str]:
+    """Yield ``lines``, raising ``ParseError`` at the first non-ASCII one."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            ch = next(ch for ch in line if not ch.isascii())
+            raise ParseError(f"non-ASCII character {ch!r}", lineno)
+        yield line
+
+
 def parse_events(source: str | bytes | Iterable[str], width: int, height: int) -> np.ndarray:
     """Parse AER text (one ``<t> <x> <y> <p>`` per line) into an event array.
 
     Polarity 0 is mapped to -1 on ingest. Lines starting with ``#`` and blank
     lines are skipped. Events are returned in file order, timestamps exact.
+    The format is ASCII: a non-ASCII byte or character raises ``ParseError``
+    with its line number.
     """
     if isinstance(source, bytes):
         try:
@@ -67,7 +89,14 @@ def parse_events(source: str | bytes | Iterable[str], width: int, height: int) -
         except UnicodeDecodeError as exc:
             line = len((source[: exc.start] + b"x").decode("ascii").splitlines())
             raise ParseError(f"non-ASCII byte {source[exc.start]:#04x}", line) from exc
-    lines = source.splitlines() if isinstance(source, str) else source
+    if isinstance(source, str):
+        if not source.isascii():  # O(1) on an ASCII-only str
+            start = next(i for i, ch in enumerate(source) if not ch.isascii())
+            line = len((source[:start] + "x").splitlines())
+            raise ParseError(f"non-ASCII character {source[start]!r}", line)
+        lines = source.splitlines()
+    else:
+        lines = _ascii_lines(source)
     rows: list[tuple[int, int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -94,10 +123,44 @@ def parse_events(source: str | bytes | Iterable[str], width: int, height: int) -
 
 
 def dump_events(events: np.ndarray) -> str:
-    """Serialize an event array to AER text; inverse of :func:`parse_events`."""
+    """Serialize an event array to AER text; inverse of :func:`parse_events`.
+
+    Each event becomes one ``<t> <x> <y> <p>`` line, newline-terminated, with
+    polarity written as ``1`` or ``-1``. Raises ``ValidationError`` for input
+    that :func:`as_event_array` rejects, a negative t, x or y, or a polarity
+    outside {-1, +1}, none of which ``parse_events`` reads back.
+    """
     events = as_event_array(events)
-    lines = [f"{t} {x} {y} {p}" for t, x, y, p in events.tolist()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    n = len(events)
+    if n == 0:
+        return ""
+    if events[:, :COL_P].min() < 0:
+        raise ValidationError("cannot write an event with a negative t, x or y")
+    pol = events[:, COL_P]
+    if not np.all((pol == 1) | (pol == -1)):
+        raise ValidationError("cannot write a polarity outside {-1, +1}")
+    # One row of right-aligned ASCII digits per event, NUL-padded to each
+    # column's widest value; deleting the NULs leaves the text.
+    top = [int(events[:, c].max()) for c in (COL_T, COL_X, COL_Y)]
+    widths = [len(str(v)) for v in top]
+    mat = np.zeros((n, sum(widths) + 6), dtype=np.uint8)  # + 3 spaces, sign, 1, newline
+    end = 0
+    for c, width, v in zip((COL_T, COL_X, COL_Y), widths, top):
+        end += width
+        rest = events[:, c].astype(np.min_scalar_type(v))  # narrow types divide faster
+        for place in range(width):
+            rest, digit = np.divmod(rest, 10)
+            digit += ord("0")
+            if place:
+                digit *= shown  # NUL where the value has no digit at this place
+            mat[:, end - 1 - place] = digit
+            shown = rest > 0
+        mat[:, end] = ord(" ")
+        end += 1
+    mat[:, end] = np.where(pol < 0, ord("-"), 0)
+    mat[:, end + 1] = ord("1")
+    mat[:, end + 2] = ord("\n")
+    return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -192,7 +255,7 @@ def generate_events(spec: SceneSpec) -> np.ndarray:
     draw.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    chunks = []
+    columns: list[list[np.ndarray]] = [[], [], [], []]  # each segment's t, x, y, p draws
     for seg in spec.segments:
         dur_us = seg.t_end_us - seg.t_start_us
         expected = seg.rate_ev_s * dur_us / US_PER_S
@@ -200,16 +263,39 @@ def generate_events(spec: SceneSpec) -> np.ndarray:
         if n == 0:
             continue
         x0, y0, w, h = seg.region if seg.region else (0, 0, spec.width, spec.height)
-        ts = seg.t_start_us + rng.integers(0, dur_us, size=n, dtype=np.int64)
-        xs = x0 + rng.integers(0, w, size=n, dtype=np.int64)
-        ys = y0 + rng.integers(0, h, size=n, dtype=np.int64)
-        signs = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
-        chunks.append(np.column_stack([ts, xs, ys, signs]))
-    if not chunks:
+        draws = (
+            seg.t_start_us + rng.integers(0, dur_us, size=n, dtype=np.int64),
+            x0 + rng.integers(0, w, size=n, dtype=np.int64),
+            y0 + rng.integers(0, h, size=n, dtype=np.int64),
+            rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1,
+        )
+        for column, draw in zip(columns, draws):
+            column.append(draw)
+    if not columns[COL_T]:
         return empty_events()
-    events = np.concatenate(chunks, axis=0)
-    order = np.argsort(events[:, COL_T], kind="stable")
-    return events[order]
+    order = _stable_time_order(np.concatenate(columns[COL_T]))
+    events = np.empty((len(order), 4), dtype=np.int64)
+    for c, column in enumerate(columns):
+        events[:, c] = np.concatenate(column)[order]
+    return events
+
+
+def _stable_time_order(ts: np.ndarray) -> np.ndarray:
+    """The permutation of ``np.argsort(ts, kind="stable")``, by LSD radix sort.
+
+    Each pass stably sorts by one 16-bit digit of ``ts - ts.min()``, least
+    significant first; numpy sorts uint16 keys stably by counting.
+    """
+    key = (ts - ts.min()).astype(np.uint64)
+    top = int(key.max())
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digits = key[order]
+        digits >>= np.uint64(shift)
+        order = order[np.argsort(digits.astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:

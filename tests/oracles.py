@@ -20,6 +20,36 @@ def filter_window(events: np.ndarray, t_start: int, t_end: int) -> list[list[int
     return [row for row in events.tolist() if t_start <= row[0] < t_end]
 
 
+def dump_event_rows(events: np.ndarray) -> str:
+    """AER text written one f-string per (t, x, y, p) row."""
+    lines = [f"{t} {x} {y} {p}" for t, x, y, p in events.tolist()]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def unsorted_scene_events(spec) -> np.ndarray:
+    """A scene's events in draw order: segment by segment, as drawn.
+
+    The draws follow ``generate_events``' documented order (per segment: the
+    Poisson count, then timestamps, x, y and polarity), so
+    ``generate_events(spec)`` is these rows stably sorted by time.
+    """
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    rows = np.empty((0, 4), dtype=np.int64)
+    for seg in spec.segments:
+        dur = seg.t_end_us - seg.t_start_us
+        expected = seg.rate_ev_s * dur / 1_000_000
+        n = int(rng.poisson(expected)) if expected > 0 else 0
+        if n == 0:
+            continue
+        x0, y0, w, h = seg.region if seg.region else (0, 0, spec.width, spec.height)
+        t = seg.t_start_us + rng.integers(0, dur, size=n, dtype=np.int64)
+        x = x0 + rng.integers(0, w, size=n, dtype=np.int64)
+        y = y0 + rng.integers(0, h, size=n, dtype=np.int64)
+        p = rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+        rows = np.vstack([rows, np.stack([t, x, y, p], axis=1)])
+    return rows
+
+
 def rational_bin_index(t: int, t_start: int, t_end: int, n_bins: int) -> int:
     """floor((t - Tstart) / biS) with biS = (Tend - Tstart) / n_bins, exact."""
     bis = Fraction(t_end - t_start, n_bins)

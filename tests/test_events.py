@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from dvskit.errors import BoundsError, OrderingError, ParseError, ValidationErro
 from dvskit.events import (
     SceneSegment,
     SceneSpec,
+    as_event_array,
     dump_events,
     generate_events,
     parse_events,
@@ -14,7 +18,7 @@ from dvskit.events import (
     scene_to_dict,
     window_events,
 )
-from oracles import filter_window
+from oracles import dump_event_rows, filter_window, unsorted_scene_events
 
 
 class TestParse:
@@ -68,6 +72,18 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_events(b"10 0 0 1\n10 0 \xc2\xb2 1\n", width=4, height=4)
 
+    @pytest.mark.parametrize(
+        "text, line", [("1\u0663 2 \u0663 1", 1), ("10 0 0 1\n1\u0663 2 \u0663 1\n", 2)]
+    )
+    def test_non_ascii_str_reports_number(self, text, line):
+        # Arabic-Indic digits pass str.isdecimal and int(); the format is ASCII
+        with pytest.raises(ParseError, match=f"line {line}"):
+            parse_events(text, width=8, height=8)
+
+    def test_non_ascii_line_in_iterable_reports_number(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_events(["10 0 0 1", "1\u0663 2 \u0663 1"], width=8, height=8)
+
     def test_double_space_rejected(self):
         with pytest.raises(ParseError):
             parse_events("10  0 0 1", width=4, height=4)
@@ -97,6 +113,94 @@ def test_parse_serialize_roundtrip(rows):
     events = np.array(rows, dtype=np.int64).reshape(-1, 4)
     again = parse_events(dump_events(events), width=32, height=24)
     assert np.array_equal(events, again)
+
+
+# digit-width edges of a column, int64 max included
+EDGES = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, np.iinfo(np.int64).max]
+
+
+class TestDump:
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[0, 0, 0, -1]]] + [[[v, v, v, 1], [v // 10, 0, v, -1]] for v in EDGES],
+    )
+    def test_matches_row_writer(self, rows):
+        events = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        assert dump_events(events) == dump_event_rows(events)
+
+    def test_random_arrays_match_row_writer(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.choice([0, 1, int(rng.integers(2, 80))]))
+            cols = []
+            for _ in range(3):
+                mags = 10 ** rng.integers(0, 19, size=n).astype(np.float64)
+                col = (rng.random(n) * mags).astype(np.int64)
+                edge = rng.random(n) < 0.3
+                col[edge] = rng.choice(EDGES, size=int(edge.sum()))
+                cols.append(col)
+            cols.append(rng.choice([-1, 1], size=n))
+            events = np.stack(cols, axis=1).astype(np.int64).reshape(-1, 4)
+            assert dump_events(events) == dump_event_rows(events)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[5, 1, 2, 0], [-3, -1, 2, 7]],
+            [[5, 1, 2, 0]],
+            [[5, 1, 2, 2]],
+            [[5, 1, 2, -2]],
+            [[-3, 1, 2, 1]],
+            [[3, -1, 2, 1]],
+            [[3, 1, -2, 1]],
+        ],
+    )
+    def test_rejects_what_parse_cannot_read_back(self, rows):
+        with pytest.raises(ValidationError):
+            dump_events(rows)
+
+    def test_peak_memory_bounded(self):
+        # the per-row writer peaks at about 60 MB on these 300 k events
+        events = generate_events(
+            SceneSpec(346, 260, 150_000, seed=1, segments=(SceneSegment(0, 150_000, 2e6),))
+        )
+        tracemalloc.start()
+        try:
+            text = dump_events(events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 300_018 and len(text) == 4_805_685
+        assert peak < 32e6
+
+
+class TestEventArray:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.7, 2, 3, 1]],
+            np.ones((2, 4), dtype=np.float32),
+            np.ones((2, 4), dtype=bool),
+            [[1, 2, 3, 2**70]],
+            [["1", "2", "3", "1"]],
+        ],
+    )
+    def test_non_integer_rejected(self, rows):
+        with pytest.raises(ValidationError):
+            as_event_array(rows)
+
+    def test_uint64_past_int64_rejected(self):
+        with pytest.raises(ValidationError):
+            as_event_array(np.array([[2**63, 0, 0, 1]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("rows", [[], [[]], np.empty((0, 4)), np.empty((0, 4), dtype=object)])
+    def test_empty_input_gives_empty_events(self, rows):
+        arr = as_event_array(rows)
+        assert arr.shape == (0, 4) and arr.dtype == np.int64
+
+    def test_narrow_integers_widened(self):
+        arr = as_event_array(np.array([[1, 2, 3, -1]], dtype=np.int16))
+        assert arr.dtype == np.int64 and arr.tolist() == [[1, 2, 3, -1]]
 
 
 class TestWindow:
@@ -202,6 +306,53 @@ class TestSyntheticScene:
         second = len(ev) - first
         assert abs(first - 3_000) <= 300
         assert abs(second - 20_000) <= 2_000
+
+    @pytest.mark.parametrize(
+        "spec, events_sha, text_sha",
+        [
+            (  # the aer_dense_add stream at seed 1
+                SceneSpec(346, 260, 150_000, seed=1, segments=(SceneSegment(0, 150_000, 2e6),)),
+                "9e77610adfe3ee8fa9d8e6855fdb131502877b6f397f2f75b2cf8823cd54ccac",
+                "a0636990050f2fcb32171a16751616c35a95e4aec37c1a41f4bcfb9cefd01a62",
+            ),
+            (  # the baseline_burst_avg stream at seed 1
+                SceneSpec(
+                    346,
+                    260,
+                    500_000,
+                    seed=1,
+                    segments=(
+                        SceneSegment(0, 20_000, 2e6),
+                        SceneSegment(20_000, 500_000, 2e5, (100, 80, 60, 40)),
+                    ),
+                ),
+                "ac069d920ac8ddac4e2db98091b1e522553d9e055f6f11078963ca3f995bbdcc",
+                "9d44dd48963d8ec41f4ac1e0a357f1488ee2098f58b684432a3504658d37f6da",
+            ),
+        ],
+    )
+    def test_bench_streams_pinned(self, spec, events_sha, text_sha):
+        ev = generate_events(spec)
+        assert hashlib.sha256(ev.tobytes()).hexdigest() == events_sha
+        assert hashlib.sha256(dump_events(ev).encode()).hexdigest() == text_sha
+
+    def test_order_is_stable_time_sort_of_draws(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            # spans from heavy ties (dozens of microseconds) to three radix digits
+            duration = int(rng.choice([50, 5_000, 2**20, 2**40, 2**50]))
+            cuts = np.unique(rng.integers(1, duration, size=int(rng.integers(0, 5))))
+            bounds = [0, *cuts.tolist(), duration]
+            # a mean of 0, 30 or 300 events per segment
+            segments = [
+                SceneSegment(a, b, float(rng.choice([0, 30, 300])) * 1e6 / (b - a))
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            rng.shuffle(segments)
+            spec = SceneSpec(16, 8, duration, seed=trial, segments=tuple(segments))
+            drawn = unsorted_scene_events(spec)
+            expected = drawn[np.argsort(drawn[:, 0], kind="stable")]
+            assert np.array_equal(generate_events(spec), expected)
 
     def test_zero_area_region_rejected(self):
         with pytest.raises(ValidationError):
